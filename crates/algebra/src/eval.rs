@@ -44,15 +44,16 @@ impl AlgExpr {
         schema: &Schema,
         config: &EvalConfig,
     ) -> Result<Instance, AlgError> {
-        self.eval_governed(db, schema, config, Interrupt::disarmed())
+        self.evaluate(db, schema, config, Interrupt::disarmed())
     }
 
-    /// [`AlgExpr::eval`] under a resource governor: the evaluator polls
-    /// `interrupt` once on entry and then at per-row granularity, surfacing
-    /// deadline expiry, cancellation, and injected faults as
-    /// [`AlgError::Resource`].  This backend never interns, so its memory
-    /// footprint reported to the governor is always 0.
-    pub fn eval_governed(
+    /// [`AlgExpr::eval`] under a resource governor: the tuple-at-a-time
+    /// backend's one entry point.  The evaluator polls `interrupt` once on
+    /// entry and then at per-row granularity, surfacing deadline expiry,
+    /// cancellation, and injected faults as [`AlgError::Resource`].  This
+    /// backend never interns, so its memory footprint reported to the
+    /// governor is always 0.
+    pub fn evaluate(
         &self,
         db: &Database,
         schema: &Schema,

@@ -757,7 +757,7 @@ fn lower_product(
 mod tests {
     use super::*;
     use crate::eval::EvalConfig;
-    use itq_object::{Database, Instance, Value};
+    use itq_object::{Database, Instance, Interrupt, Value};
 
     fn schema() -> Schema {
         Schema::single("PAR", Type::flat_tuple(2))
@@ -800,7 +800,9 @@ mod tests {
     /// mini differential every rewrite test runs alongside its shape check.
     fn assert_plan_matches_eval(expr: &AlgExpr) -> PhysicalPlan {
         let physical = plan(expr, &schema()).unwrap();
-        let (planned, _) = physical.execute(&db(), &EvalConfig::default()).unwrap();
+        let (planned, _, _) = physical
+            .execute(&db(), &EvalConfig::default(), Interrupt::disarmed(), false)
+            .unwrap();
         let direct = expr.eval(&db(), &schema(), &EvalConfig::default()).unwrap();
         assert_eq!(planned, direct, "{expr}");
         physical

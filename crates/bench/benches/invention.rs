@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use itq_calculus::eval::EvalConfig;
 use itq_calculus::{Formula, Query, Term};
 use itq_invention::{eval_with_invented, UniversalCodec};
-use itq_object::{Atom, Database, Instance, Schema, Type, Universe, Value};
+use itq_object::{Atom, Database, Instance, Interrupt, Schema, Type, Universe, Value};
 
 /// A set-height-2 value with `n` outer elements, each holding an `n`-element set.
 fn nested_value(n: u32) -> Value {
@@ -75,10 +75,19 @@ fn bench_invention_levels(c: &mut Criterion) {
             b.iter(|| {
                 let mut universe = Universe::new();
                 universe.atoms(["a", "b", "c", "d"]);
-                eval_with_invented(&query, &db, &mut universe, n, &EvalConfig::default())
-                    .unwrap()
-                    .0
-                    .len()
+                let config = EvalConfig::default();
+                eval_with_invented(
+                    &query,
+                    &db,
+                    &mut universe,
+                    n,
+                    &config,
+                    Interrupt::disarmed(),
+                    1,
+                )
+                .unwrap()
+                .0
+                .len()
             })
         });
     }

@@ -1,8 +1,8 @@
 //! E16 — in-query parallelism: speedup vs worker count.
 //!
 //! The `parallelism(n)` knob partitions the compiled backend's top-level
-//! quantifier domain and the planned executor's hash-join probe across a
-//! small worker pool; everything else — answers, error strings, the
+//! candidate loop across a small worker pool (the planned executor, the
+//! algebra control here, stays sequential); everything else — answers, error strings, the
 //! deterministic counters — is required byte-identical by
 //! `tests/parallel_equivalence.rs`.  This bench measures the only thing the
 //! knob is *allowed* to change: wall-clock time, on the grid shared with

@@ -1,13 +1,11 @@
 //! E12 — prepare-once/execute-many amortization: executing a cached
-//! [`Prepared`] handle N times versus N legacy `eval_calculus` calls (each of
+//! [`Prepared`] handle N times versus N prepare-then-execute calls (each of
 //! which re-does the static work: typing, classification, normal forms) on
 //! the genealogy workload.
 //!
-//! The answers are identical by construction (the legacy path is a shim over
-//! the pipeline); the difference is purely the amortized static work, which
-//! is what this bench makes visible.
-
-#![allow(deprecated)] // the legacy arm of the comparison is the point
+//! The answers are identical by construction (both arms run the same
+//! pipeline); the difference is purely the amortized static work, which is
+//! what this bench makes visible.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use itq_core::prelude::*;
@@ -46,13 +44,18 @@ fn bench_prepare_amortization(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("legacy-per-call", execs),
+            BenchmarkId::new("prepare-per-call", execs),
             &execs,
             |b, &execs| {
                 b.iter(|| {
                     let mut total = 0usize;
                     for _ in 0..execs {
-                        total += engine.eval_calculus(&query, &db).unwrap().result.len();
+                        let prepared = engine.prepare(&query).unwrap();
+                        total += prepared
+                            .execute(&db, Semantics::Limited)
+                            .unwrap()
+                            .result
+                            .len();
                     }
                     total
                 })

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use itq_calculus::{Formula, Query, Term};
-use itq_invention::{terminal_invention, InventionConfig};
+use itq_core::prelude::{Engine, Semantics};
 use itq_object::{Atom, Database, Instance, Schema, Type, Universe};
 use itq_turing::machines::{parity_machine, ONE};
 use itq_turing::{encode_run, run, verify_encoding};
@@ -41,17 +41,18 @@ fn bench_terminal_search(c: &mut Criterion) {
         ("undefined-bound-2", undefined_query(), 2),
         ("undefined-bound-4", undefined_query(), 4),
     ] {
-        let config = InventionConfig {
-            max_invented: max,
-            ..Default::default()
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(name), &config, |b, config| {
-            b.iter(|| {
-                let mut universe = Universe::new();
-                universe.atoms(["a", "b", "c"]);
-                terminal_invention(&query, &db, &mut universe, config).unwrap()
-            })
-        });
+        // Each execution draws its scratch atoms from a fresh clone of the
+        // engine's seeded universe.
+        let engine = Engine::builder()
+            .max_invented(max)
+            .seed_atoms(["a", "b", "c"])
+            .build();
+        let prepared = engine.prepare(&query).unwrap();
+        group.bench_with_input(
+            BenchmarkId::from_parameter(name),
+            &prepared,
+            |b, prepared| b.iter(|| prepared.execute(&db, Semantics::TerminalInvention).unwrap()),
+        );
     }
     group.finish();
 }

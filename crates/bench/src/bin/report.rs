@@ -35,7 +35,7 @@ use itq_core::queries;
 use itq_core::report::Table;
 use itq_invention::{eval_with_invented, UniversalCodec};
 use itq_object::cons::cons_cardinality;
-use itq_object::{Atom, Database, Instance, Type, Universe, Value};
+use itq_object::{Atom, Database, Instance, Interrupt, Type, Universe, Value};
 use itq_relational::{transitive_closure_seminaive, Relation};
 use itq_turing::machines::{palindrome_machine, parity_machine, ONE};
 use itq_turing::{encode_run, run, verify_encoding};
@@ -1196,8 +1196,10 @@ fn experiment_e10() -> String {
     let mut universe = Universe::new();
     for (name, q) in [("guarded (R only)", &query), ("unguarded (⊤)", &unguarded)] {
         for n in 0..=3usize {
+            let config = EvalConfig::default();
             let (restricted, unrestricted) =
-                eval_with_invented(q, &db, &mut universe, n, &EvalConfig::default()).unwrap();
+                eval_with_invented(q, &db, &mut universe, n, &config, Interrupt::disarmed(), 1)
+                    .unwrap();
             let original = q.evaluation_domain(&db);
             let surfaced = unrestricted
                 .result

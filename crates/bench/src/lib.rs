@@ -68,8 +68,9 @@ pub fn algebra_exec_workloads() -> Vec<(&'static str, AlgExpr, Schema, Database)
 }
 
 /// One E16 workload: either a calculus query for the compiled backend (whose
-/// top-level quantifier domain is partitioned across the workers) or an
-/// algebra expression for the planned executor (whose hash-join probe is).
+/// top-level candidate loop is partitioned across the workers) or an algebra
+/// expression for the planned executor (which runs sequentially at every
+/// worker count).
 pub enum ParallelWorkload {
     /// Run through [`itq_core::engine::Engine::prepare`].
     Calculus(Query, Database),
@@ -85,9 +86,9 @@ pub enum ParallelWorkload {
 ///
 /// The two calculus workloads are the designated ≥2×-at-4-threads exemplars:
 /// their cost is pure quantifier enumeration (2·|adom|⁶ evaluation steps on
-/// an n-atom chain) with answer-sized merges.  The algebra workloads track
-/// the partitioned probe, whose per-row work is a hash lookup — parallelism
-/// helps less there, which is exactly what the trajectory should show.
+/// an n-atom chain) with answer-sized merges.  The algebra workloads are the
+/// control: the planner has no partitioned path, so their rows record 0
+/// partitions and a speedup of about 1.
 pub fn parallel_scaling_workloads() -> Vec<(&'static str, ParallelWorkload)> {
     // 16 atoms → a 256-tuple [U, U] domain → ≈ 3.4e7 steps sequentially.
     let chain_db = queries::parent_database(&chain_edges(15));

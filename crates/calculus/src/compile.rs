@@ -18,7 +18,7 @@
 //!   per-execution [`DomainCache`], so each `cons_X(T)` is materialised
 //!   exactly once per execution and shared by every enclosing iteration.
 //!
-//! The dynamic half, [`CompiledQuery::eval_with_extra`], mirrors the tree
+//! The dynamic half, [`CompiledQuery::run`], mirrors the tree
 //! walker *bit for bit*: same enumeration (rank) order, same step counting,
 //! same short-circuit decisions, and same budget-error classification — the
 //! property suite pins `eval_compiled == evaluate` on answers, shared
@@ -36,6 +36,7 @@ use itq_object::store::{DomainCache, DomainHandle, ValueId, ValueStore};
 use itq_object::{Atom, Database, Instance, Interrupt, PredName, Type, Value};
 use itq_trace::Span;
 use std::collections::{BTreeSet, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -99,9 +100,9 @@ pub enum CFormula {
 /// cached by `Engine::prepare` and shared by every execution (and, under the
 /// invention semantics, by every invention level).
 ///
-/// Produced by [`compile`]; executed by [`CompiledQuery::eval_full`] /
-/// [`CompiledQuery::eval_with_extra`], which return the same
-/// [`Evaluation`] shape as the tree walker.
+/// Produced by [`compile`]; executed by [`CompiledQuery::run`] (or its
+/// limited-interpretation shorthand [`CompiledQuery::eval_full`]), which
+/// returns the same [`Evaluation`] shape as the tree walker.
 ///
 /// ```
 /// use itq_calculus::compile::compile;
@@ -173,74 +174,111 @@ impl CompiledQuery {
         &self.body
     }
 
-    /// Evaluate under the limited interpretation (`Y = ∅`).
+    /// Evaluate under the limited interpretation (`Y = ∅`), ungoverned and
+    /// on one partition.
     pub fn eval_full(&self, db: &Database, config: &EvalConfig) -> Result<Evaluation, CalcError> {
-        Evaluable::eval_with_extra(self, db, &[], config)
+        Ok(self
+            .run(db, &[], config, Interrupt::disarmed(), 1, false)?
+            .0)
     }
 
-    /// [`Evaluable::eval_with_extra`] with quantifier-nest tracing: the
-    /// returned [`Span`] carries the whole-evaluation counters as fields and
-    /// one child span per environment slot recording how many values that
-    /// slot's quantifier nest drew (sibling quantifiers share a slot, so the
-    /// per-slot counts are per nesting depth), plus the domain-cache
-    /// activity.  The evaluation itself — answers, statistics, errors — is
-    /// byte-identical to the untraced path: the tracer is a monomorphized
-    /// type parameter whose untraced instantiation compiles to nothing.
-    pub fn eval_traced(
-        &self,
-        db: &Database,
-        extra: &[Atom],
-        config: &EvalConfig,
-    ) -> Result<(Evaluation, Span), CalcError> {
-        self.eval_traced_governed(db, extra, config, Interrupt::disarmed())
-    }
-
-    /// [`CompiledQuery::eval_traced`] under a resource governor (see
-    /// [`Evaluable::eval_governed`]); the trace remains byte-identical to the
-    /// ungoverned one whenever the interrupt never trips.
-    pub fn eval_traced_governed(
+    /// Evaluate `Q|^Y` (`Y` given by `extra`): the one execution entry of the
+    /// compiled backend.
+    ///
+    /// The evaluation polls `interrupt` once on entry and then every
+    /// [`POLL_MASK`]+1 steps — the tree walker's cadence, whose step counter
+    /// this evaluator replicates bit for bit.
+    ///
+    /// `workers` splits the top-level candidate loop into contiguous rank
+    /// partitions.  With one worker the loop runs on the execution's root
+    /// [`ValueStore`]/[`DomainCache`].  With more, the root interns the query
+    /// constants and pre-materialises the *entire* candidate domain before it
+    /// is frozen and shared: each partition then evaluates over its own
+    /// overlay on a scoped worker pool.  Without the prefill, the worker
+    /// owning the last rank chunk would privately re-materialise every
+    /// earlier rank (lazy domains extend sequentially) and the partitioning
+    /// would not scale.
+    ///
+    /// Determinism contract, pinned by `tests/parallel_equivalence.rs`:
+    ///
+    /// * **answers** are byte-identical for every worker count — candidates
+    ///   are a pure function of their rank, and the merged [`Instance`]
+    ///   canonicalises structurally;
+    /// * **deterministic counters** (`steps`, `quantifier_values`,
+    ///   `candidates_checked`, `max_domain_seen`) equal the one-worker run's —
+    ///   per-candidate work is independent, so partition sums reproduce the
+    ///   sequential totals exactly;
+    /// * **errors** are reconstructed in partition (rank) order with a
+    ///   cumulative step counter, so logical budget errors surface with the
+    ///   same classification and message the one-worker run would have
+    ///   produced, no matter which worker tripped first in wall-clock time.
+    ///   Physical [`ResourceError`](itq_object::ResourceError) trips
+    ///   (cancellation, deadlines, memory ceilings) are inherently racy in
+    ///   *when* they fire, but their messages are deterministic, so the
+    ///   surfaced error is byte-identical there too.
+    ///
+    /// The cache counters (`domain_cache_hits`/`misses`, `interned_values`)
+    /// keep their meaning but not their exact values at `workers > 1`:
+    /// per-worker overlays may duplicate inner-quantifier materialisation the
+    /// sequential memo would have shared.
+    ///
+    /// With `traced`, the returned [`Span`] (`compiled-eval`) carries the
+    /// whole-evaluation counters as fields.  Its children are one span per
+    /// environment slot recording how many values that slot's quantifier
+    /// nest drew (sibling quantifiers share a slot, so the counts are per
+    /// nesting depth) on one worker, or one span per partition (rank range,
+    /// local counters, worker wall-clock) on several.  The evaluation itself —
+    /// answers, statistics, errors — is byte-identical to the untraced path:
+    /// the per-slot tracer is a monomorphized type parameter whose untraced
+    /// instantiation compiles to nothing.
+    pub fn run(
         &self,
         db: &Database,
         extra: &[Atom],
         config: &EvalConfig,
         interrupt: &Interrupt,
-    ) -> Result<(Evaluation, Span), CalcError> {
-        let start = Instant::now();
-        let (evaluation, tracer) = self.eval_inner(
-            db,
-            extra,
-            config,
-            interrupt,
-            SlotDraws {
+        workers: usize,
+        traced: bool,
+    ) -> Result<(Evaluation, Option<Span>), CalcError> {
+        let start = traced.then(Instant::now);
+        let (evaluation, span) = if workers > 1 {
+            let (root, total) = self.exec(db, extra, config, interrupt, NoTrace)?;
+            root.run_partitioned(total, workers, traced)?
+        } else if traced {
+            let draws = SlotDraws {
                 draws: vec![0; self.slot_count],
-            },
-        )?;
-        let stats = &evaluation.stats;
-        let mut span = Span::new("compiled-eval");
-        span.push_field("candidates_checked", stats.candidates_checked);
-        span.push_field("quantifier_values", stats.quantifier_values);
-        span.push_field("steps", stats.steps);
-        span.push_field("max_domain_seen", stats.max_domain_seen);
-        span.push_field("domain_cache_hits", stats.domain_cache_hits);
-        span.push_field("domain_cache_misses", stats.domain_cache_misses);
-        span.push_field("interned_values", stats.interned_values);
-        for (slot, &draws) in tracer.draws.iter().enumerate().skip(1) {
-            let mut child = Span::new(format!("quantifier slot {slot}"));
-            child.push_field("draws", draws);
-            span.push_child(child);
-        }
-        span.wall_micros = start.elapsed().as_micros() as u64;
+            };
+            let (evaluation, tracer) = self.run_sequential(db, extra, config, interrupt, draws)?;
+            let mut span = eval_span(&evaluation.stats);
+            for (slot, &draws) in tracer.draws.iter().enumerate().skip(1) {
+                let mut child = Span::new(format!("quantifier slot {slot}"));
+                child.push_field("draws", draws);
+                span.push_child(child);
+            }
+            (evaluation, Some(span))
+        } else {
+            let (evaluation, NoTrace) =
+                self.run_sequential(db, extra, config, interrupt, NoTrace)?;
+            (evaluation, None)
+        };
+        let span = span.zip(start).map(|(mut span, start)| {
+            span.wall_micros = start.elapsed().as_micros() as u64;
+            span
+        });
         Ok((evaluation, span))
     }
 
-    fn eval_inner<T: QuantTracer>(
-        &self,
-        db: &Database,
+    /// The execution's root state: the entry poll, the candidate budget, the
+    /// domain handles and the interned constants, shared by the one-worker
+    /// and the partitioned runs.  Returns the state and the candidate count.
+    fn exec<'a, T: QuantTracer>(
+        &'a self,
+        db: &'a Database,
         extra: &[Atom],
-        config: &EvalConfig,
-        interrupt: &Interrupt,
+        config: &'a EvalConfig,
+        interrupt: &'a Interrupt,
         tracer: T,
-    ) -> Result<(Evaluation, T), CalcError> {
+    ) -> Result<(Exec<'a, T>, u64), CalcError> {
         // Poll once before any work so a deadline of 0 ms (or a pre-set
         // cancel flag) trips even on queries that would finish instantly —
         // mirrored by the tree walker so both backends always poll at least
@@ -285,25 +323,22 @@ impl CompiledQuery {
             let id = exec.store.intern_atom(atom);
             exec.const_ids.push(id);
         }
+        Ok((exec, target_card.saturating_u64()))
+    }
 
-        let total_candidates = target_card.saturating_u64();
-        let candidate_handle = exec.domain_handles[0];
-        let mut satisfied: Vec<ValueId> = Vec::new();
-        for rank in 0..total_candidates {
-            exec.stats.candidates_checked += 1;
-            let candidate = exec
-                .domains
-                .nth(candidate_handle, rank as u128, &mut exec.store)?;
-            exec.env[0] = Some(candidate);
-            if exec.satisfies(&self.body)? {
-                satisfied.push(candidate);
-            }
-        }
-
+    /// The one-partition case: the whole candidate loop on the root store.
+    fn run_sequential<T: QuantTracer>(
+        &self,
+        db: &Database,
+        extra: &[Atom],
+        config: &EvalConfig,
+        interrupt: &Interrupt,
+        tracer: T,
+    ) -> Result<(Evaluation, T), CalcError> {
+        let (mut exec, total) = self.exec(db, extra, config, interrupt, tracer)?;
+        let satisfied = exec.scan(0..total)?;
         let result = Instance::from_values(satisfied.iter().map(|&id| exec.store.resolve(id)));
-        exec.stats.domain_cache_hits = exec.domains.hits();
-        exec.stats.domain_cache_misses = exec.domains.misses();
-        exec.stats.interned_values = exec.store.len() as u64;
+        exec.count_caches(0);
         Ok((
             Evaluation {
                 result,
@@ -312,344 +347,46 @@ impl CompiledQuery {
             exec.tracer,
         ))
     }
-
-    /// Partitioned evaluation: split the top-level candidate loop into
-    /// contiguous rank chunks and evaluate the chunks on a scoped worker pool,
-    /// one [`ValueStore`]/[`DomainCache`] overlay per worker over a shared
-    /// frozen base.
-    ///
-    /// The coordinator interns the query constants and pre-materialises the
-    /// *entire* candidate domain into the base before freezing it — without
-    /// the prefill, the worker owning the last rank chunk would privately
-    /// re-materialise every earlier rank (lazy domains extend sequentially)
-    /// and the partitioning would not scale.
-    ///
-    /// Determinism contract, pinned by `tests/parallel_equivalence.rs`:
-    ///
-    /// * **answers** are byte-identical to the sequential evaluator for every
-    ///   worker count — candidates are a pure function of their rank, and the
-    ///   merged [`Instance`] canonicalises structurally;
-    /// * **deterministic counters** (`steps`, `quantifier_values`,
-    ///   `candidates_checked`, `max_domain_seen`) equal the sequential run's —
-    ///   per-candidate work is independent, so partition sums reproduce the
-    ///   sequential totals exactly;
-    /// * **errors** are reconstructed in partition (rank) order with a
-    ///   cumulative step counter, so logical budget errors surface with the
-    ///   same classification and message the sequential run would have
-    ///   produced, no matter which worker tripped first in wall-clock time.
-    ///   Physical [`ResourceError`](itq_object::ResourceError) trips
-    ///   (cancellation, deadlines, memory ceilings) are inherently racy in
-    ///   *when* they fire, but their messages are deterministic, so the
-    ///   surfaced error is byte-identical there too.
-    ///
-    /// The cache counters (`domain_cache_hits`/`misses`, `interned_values`)
-    /// keep their meaning but not their exact values at `workers > 1`:
-    /// per-worker overlays may duplicate inner-quantifier materialisation the
-    /// sequential memo would have shared.
-    pub fn eval_governed_parallel(
-        &self,
-        db: &Database,
-        extra: &[Atom],
-        config: &EvalConfig,
-        interrupt: &Interrupt,
-        workers: usize,
-    ) -> Result<ParallelEvaluation, CalcError> {
-        // Entry poll, mirroring the sequential evaluator: a 0 ms deadline or
-        // a pre-raised cancel flag trips before any work.
-        interrupt.check(0)?;
-        let mut atom_set = Evaluable::evaluation_domain(self, db);
-        atom_set.extend(extra.iter().copied());
-        let atoms: Vec<Atom> = atom_set.into_iter().collect();
-
-        let target_card = cons_cardinality(&self.target_type, atoms.len());
-        if !target_card.fits_within(config.max_candidates) {
-            return Err(CalcError::Budget {
-                what: format!(
-                    "candidate domain cons_X({}) of size {target_card}",
-                    self.target_type
-                ),
-                limit: config.max_candidates,
-            });
-        }
-        let total = target_card.saturating_u64();
-
-        // Coordinator phase: build the shared base — constants interned,
-        // every candidate rank materialised — then freeze it for the workers.
-        let mut store = ValueStore::new();
-        let mut domains = DomainCache::new(atoms);
-        let mut domain_handles = Vec::with_capacity(self.domain_types.len());
-        for ty in &self.domain_types {
-            domain_handles.push(domains.handle(ty));
-        }
-        let mut const_ids = Vec::with_capacity(self.consts.len());
-        for &atom in &self.consts {
-            const_ids.push(store.intern_atom(atom));
-        }
-        let candidate_handle = domain_handles[0];
-        for rank in 0..total {
-            domains.nth(candidate_handle, rank as u128, &mut store)?;
-            if rank & POLL_MASK == POLL_MASK {
-                interrupt.check(store.approx_bytes() + domains.approx_bytes())?;
-            }
-        }
-        let base_stats = EvalStats {
-            domain_cache_hits: domains.hits(),
-            domain_cache_misses: domains.misses(),
-            interned_values: store.len() as u64,
-            ..EvalStats::default()
-        };
-        let base_len = store.len() as u64;
-        let frozen_store = store.freeze();
-        let frozen_domains = domains.freeze();
-
-        let ranges = partition_ranges(total as usize, workers.max(1));
-        let outcomes = run_partitions(ranges, |_, (start, end)| {
-            let begun = Instant::now();
-            let mut exec = Exec {
-                db,
-                config,
-                compiled: self,
-                store: ValueStore::overlay(Arc::clone(&frozen_store)),
-                domains: DomainCache::overlay(Arc::clone(&frozen_domains)),
-                domain_handles: domain_handles.clone(),
-                domain_sizes: vec![None; self.domain_types.len()],
-                env: vec![None; self.slot_count],
-                const_ids: const_ids.clone(),
-                relations: vec![None; self.preds.len()],
-                stats: EvalStats::default(),
-                interrupt,
-                tracer: NoTrace,
-            };
-            let mut satisfied: Vec<ValueId> = Vec::new();
-            let mut error = None;
-            for rank in start..end {
-                exec.stats.candidates_checked += 1;
-                let candidate =
-                    match exec
-                        .domains
-                        .nth(candidate_handle, rank as u128, &mut exec.store)
-                    {
-                        Ok(id) => id,
-                        Err(e) => {
-                            error = Some(CalcError::from(e));
-                            break;
-                        }
-                    };
-                exec.env[0] = Some(candidate);
-                match exec.satisfies(&self.body) {
-                    Ok(true) => satisfied.push(candidate),
-                    Ok(false) => {}
-                    Err(e) => {
-                        error = Some(e);
-                        break;
-                    }
-                }
-            }
-            exec.stats.domain_cache_hits = exec.domains.hits();
-            exec.stats.domain_cache_misses = exec.domains.misses();
-            exec.stats.interned_values = (exec.store.len() as u64).saturating_sub(base_len);
-            PartitionOutcome {
-                ranks: (start as u64, end as u64),
-                satisfied: satisfied.iter().map(|&id| exec.store.resolve(id)).collect(),
-                stats: exec.stats,
-                error,
-                wall_micros: begun.elapsed().as_micros() as u64,
-            }
-        });
-
-        // Deterministic error reconstruction: replay the partitions in rank
-        // order with a cumulative step counter.  The sequential run errors
-        // with the step-budget message at the first candidate where the
-        // global counter crosses `max_steps`; a partition whose own error
-        // lies past that crossing therefore reports the budget error instead
-        // — its candidate would never have been reached sequentially.
-        // Physical resource trips (whose messages carry no counters) are
-        // surfaced as-is: the sequential run, being slower, would have
-        // observed the same condition.
-        let step_budget = || CalcError::Budget {
-            what: "formula evaluation steps".to_string(),
-            limit: config.max_steps,
-        };
-        let mut cum_steps: u64 = 0;
-        for outcome in &outcomes {
-            let crossed = cum_steps.saturating_add(outcome.stats.steps) > config.max_steps;
-            match &outcome.error {
-                Some(CalcError::Resource(e)) => return Err(CalcError::Resource(e.clone())),
-                Some(e) => {
-                    return Err(if crossed { step_budget() } else { e.clone() });
-                }
-                None if crossed => return Err(step_budget()),
-                None => cum_steps = cum_steps.saturating_add(outcome.stats.steps),
-            }
-        }
-
-        let mut stats = base_stats;
-        let mut partitions = Vec::with_capacity(outcomes.len());
-        let mut values: Vec<Value> = Vec::new();
-        for outcome in outcomes {
-            stats.merge(&outcome.stats);
-            values.extend(outcome.satisfied);
-            partitions.push(PartitionStats {
-                ranks: outcome.ranks,
-                stats: outcome.stats,
-                wall_micros: outcome.wall_micros,
-            });
-        }
-        Ok(ParallelEvaluation {
-            evaluation: Evaluation {
-                result: Instance::from_values(values),
-                stats,
-            },
-            partitions,
-        })
-    }
-
-    /// [`CompiledQuery::eval_governed_parallel`] with per-partition tracing:
-    /// the returned [`Span`] carries the merged whole-evaluation counters
-    /// plus one child span per partition (rank range, local counters, worker
-    /// wall-clock).  The partition children replace the sequential trace's
-    /// per-slot quantifier children — under partitioning the interesting
-    /// breakdown is *where the work went*, not which nesting depth drew it.
-    pub fn eval_traced_governed_parallel(
-        &self,
-        db: &Database,
-        extra: &[Atom],
-        config: &EvalConfig,
-        interrupt: &Interrupt,
-        workers: usize,
-    ) -> Result<(Evaluation, Span), CalcError> {
-        let start = Instant::now();
-        let parallel = self.eval_governed_parallel(db, extra, config, interrupt, workers)?;
-        let stats = &parallel.evaluation.stats;
-        let mut span = Span::new("compiled-eval");
-        span.push_field("candidates_checked", stats.candidates_checked);
-        span.push_field("quantifier_values", stats.quantifier_values);
-        span.push_field("steps", stats.steps);
-        span.push_field("max_domain_seen", stats.max_domain_seen);
-        span.push_field("domain_cache_hits", stats.domain_cache_hits);
-        span.push_field("domain_cache_misses", stats.domain_cache_misses);
-        span.push_field("interned_values", stats.interned_values);
-        span.push_field("partitions", parallel.partitions.len() as u64);
-        for (i, partition) in parallel.partitions.iter().enumerate() {
-            let mut child = Span::new(format!("partition {i}"));
-            child.push_field("rank_start", partition.ranks.0);
-            child.push_field("rank_end", partition.ranks.1);
-            child.push_field("candidates_checked", partition.stats.candidates_checked);
-            child.push_field("steps", partition.stats.steps);
-            child.push_field("quantifier_values", partition.stats.quantifier_values);
-            child.wall_micros = partition.wall_micros;
-            span.push_child(child);
-        }
-        span.wall_micros = start.elapsed().as_micros() as u64;
-        Ok((parallel.evaluation, span))
-    }
 }
 
-/// The per-partition slice of a partitioned evaluation: the candidate-rank
-/// range the partition owned, its local counters (steps and draws counted
-/// from zero), and its worker's wall-clock.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionStats {
-    /// Half-open candidate-rank range `[start, end)` this partition evaluated.
-    pub ranks: (u64, u64),
-    /// The partition's local counters.
-    pub stats: EvalStats,
-    /// Wall-clock this partition's worker spent, in microseconds.  Partitions
-    /// overlap in time, so these must **not** be summed into an execution
-    /// wall-clock — the slowest partition bounds the parallel span.
-    pub wall_micros: u64,
-}
-
-/// A partitioned evaluation: the merged [`Evaluation`] (byte-identical
-/// answers, deterministic shared counters) plus the per-partition breakdown
-/// used by stats and trace reporting.
-#[derive(Debug, Clone)]
-pub struct ParallelEvaluation {
-    /// The merged evaluation, shaped exactly like a sequential one.
-    pub evaluation: Evaluation,
-    /// Per-partition statistics, in partition (rank) order.
-    pub partitions: Vec<PartitionStats>,
+/// The `compiled-eval` span with the whole-evaluation counters as fields.
+fn eval_span(stats: &EvalStats) -> Span {
+    let mut span = Span::new("compiled-eval");
+    span.push_field("candidates_checked", stats.candidates_checked);
+    span.push_field("quantifier_values", stats.quantifier_values);
+    span.push_field("steps", stats.steps);
+    span.push_field("max_domain_seen", stats.max_domain_seen);
+    span.push_field("domain_cache_hits", stats.domain_cache_hits);
+    span.push_field("domain_cache_misses", stats.domain_cache_misses);
+    span.push_field("interned_values", stats.interned_values);
+    span
 }
 
 /// What one worker hands back to the coordinator.
 struct PartitionOutcome {
+    /// Half-open candidate-rank range `[start, end)` this partition evaluated.
     ranks: (u64, u64),
     /// Satisfied candidates resolved to structural [`Value`]s by the worker —
     /// worker-local [`ValueId`]s are meaningless outside their overlay.
     satisfied: Vec<Value>,
+    /// The partition's local counters (steps and draws counted from zero).
     stats: EvalStats,
     error: Option<CalcError>,
+    /// Wall-clock this partition's worker spent.  Partitions overlap in time,
+    /// so these are never summed into an execution wall-clock.
     wall_micros: u64,
 }
 
-/// A [`CompiledQuery`] bound to a worker count, standing wherever an
-/// [`Evaluable`] backend is expected: the invention-semantics drivers take
-/// `&dyn Evaluable`, so wrapping the compiled query in `ParallelCompiled`
-/// parallelises every invention level's candidate loop without the drivers
-/// knowing about partitioning.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelCompiled<'a> {
-    compiled: &'a CompiledQuery,
-    workers: usize,
-}
-
-impl<'a> ParallelCompiled<'a> {
-    /// Bind `compiled` to a worker count (`workers <= 1` degenerates to an
-    /// inline single partition — the sequential ablation spawns no threads).
-    pub fn new(compiled: &'a CompiledQuery, workers: usize) -> ParallelCompiled<'a> {
-        ParallelCompiled { compiled, workers }
-    }
-}
-
-impl Evaluable for ParallelCompiled<'_> {
-    fn eval_with_extra(
-        &self,
-        db: &Database,
-        extra: &[Atom],
-        config: &EvalConfig,
-    ) -> Result<Evaluation, CalcError> {
-        self.compiled
-            .eval_governed_parallel(db, extra, config, Interrupt::disarmed(), self.workers)
-            .map(|parallel| parallel.evaluation)
-    }
-
-    fn eval_governed(
-        &self,
-        db: &Database,
-        extra: &[Atom],
-        config: &EvalConfig,
-        interrupt: &Interrupt,
-    ) -> Result<Evaluation, CalcError> {
-        self.compiled
-            .eval_governed_parallel(db, extra, config, interrupt, self.workers)
-            .map(|parallel| parallel.evaluation)
-    }
-
-    fn evaluation_domain(&self, db: &Database) -> BTreeSet<Atom> {
-        Evaluable::evaluation_domain(self.compiled, db)
-    }
-}
-
 impl Evaluable for CompiledQuery {
-    fn eval_with_extra(
-        &self,
-        db: &Database,
-        extra: &[Atom],
-        config: &EvalConfig,
-    ) -> Result<Evaluation, CalcError> {
-        self.eval_inner(db, extra, config, Interrupt::disarmed(), NoTrace)
-            .map(|(evaluation, NoTrace)| evaluation)
-    }
-
-    fn eval_governed(
+    fn evaluate(
         &self,
         db: &Database,
         extra: &[Atom],
         config: &EvalConfig,
         interrupt: &Interrupt,
+        workers: usize,
     ) -> Result<Evaluation, CalcError> {
-        self.eval_inner(db, extra, config, interrupt, NoTrace)
-            .map(|(evaluation, NoTrace)| evaluation)
+        Ok(self.run(db, extra, config, interrupt, workers, false)?.0)
     }
 
     fn evaluation_domain(&self, db: &Database) -> BTreeSet<Atom> {
@@ -867,7 +604,157 @@ struct Exec<'a, T: QuantTracer> {
     tracer: T,
 }
 
+impl<'a> Exec<'a, NoTrace> {
+    /// The n-partition case: pre-materialise every candidate rank into the
+    /// root, freeze it, and evaluate contiguous rank chunks on a scoped
+    /// worker pool, one [`ValueStore`]/[`DomainCache`] overlay per worker.
+    fn run_partitioned(
+        mut self,
+        total: u64,
+        workers: usize,
+        traced: bool,
+    ) -> Result<(Evaluation, Option<Span>), CalcError> {
+        let candidate_handle = self.domain_handles[0];
+        for rank in 0..total {
+            self.domains
+                .nth(candidate_handle, rank as u128, &mut self.store)?;
+            if rank & POLL_MASK == POLL_MASK {
+                self.interrupt
+                    .check(self.store.approx_bytes() + self.domains.approx_bytes())?;
+            }
+        }
+        self.count_caches(0);
+        let base_len = self.store.len() as u64;
+        let store = std::mem::take(&mut self.store).freeze();
+        let domains = std::mem::replace(&mut self.domains, DomainCache::new(Vec::new())).freeze();
+        let root = &self;
+        let ranges = partition_ranges(total as usize, workers);
+        let outcomes = run_partitions(ranges, |_, (start, end)| {
+            let begun = Instant::now();
+            let mut exec = root.fork(
+                ValueStore::overlay(Arc::clone(&store)),
+                DomainCache::overlay(Arc::clone(&domains)),
+            );
+            let ranks = (start as u64, end as u64);
+            let (satisfied, error) = match exec.scan(ranks.0..ranks.1) {
+                Ok(ids) => (ids.iter().map(|&id| exec.store.resolve(id)).collect(), None),
+                Err(e) => (Vec::new(), Some(e)),
+            };
+            exec.count_caches(base_len);
+            PartitionOutcome {
+                ranks,
+                satisfied,
+                stats: exec.stats,
+                error,
+                wall_micros: begun.elapsed().as_micros() as u64,
+            }
+        });
+
+        // Deterministic error reconstruction: replay the partitions in rank
+        // order with a cumulative step counter.  The sequential run errors
+        // with the step-budget message at the first candidate where the
+        // global counter crosses `max_steps`; a partition whose own error
+        // lies past that crossing therefore reports the budget error instead
+        // — its candidate would never have been reached sequentially.
+        // Physical resource trips (whose messages carry no counters) are
+        // surfaced as-is: the sequential run, being slower, would have
+        // observed the same condition.
+        let step_budget = || CalcError::Budget {
+            what: "formula evaluation steps".to_string(),
+            limit: self.config.max_steps,
+        };
+        let mut cum_steps: u64 = 0;
+        for outcome in &outcomes {
+            let crossed = cum_steps.saturating_add(outcome.stats.steps) > self.config.max_steps;
+            match &outcome.error {
+                Some(CalcError::Resource(e)) => return Err(CalcError::Resource(e.clone())),
+                Some(e) => {
+                    return Err(if crossed { step_budget() } else { e.clone() });
+                }
+                None if crossed => return Err(step_budget()),
+                None => cum_steps = cum_steps.saturating_add(outcome.stats.steps),
+            }
+        }
+
+        let mut stats = self.stats;
+        let mut values: Vec<Value> = Vec::new();
+        let mut children = Vec::new();
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            stats.merge(&outcome.stats);
+            if traced {
+                let mut child = Span::new(format!("partition {i}"));
+                child.push_field("rank_start", outcome.ranks.0);
+                child.push_field("rank_end", outcome.ranks.1);
+                child.push_field("candidates_checked", outcome.stats.candidates_checked);
+                child.push_field("steps", outcome.stats.steps);
+                child.push_field("quantifier_values", outcome.stats.quantifier_values);
+                child.wall_micros = outcome.wall_micros;
+                children.push(child);
+            }
+            values.extend(outcome.satisfied);
+        }
+        let span = traced.then(|| {
+            let mut span = eval_span(&stats);
+            span.push_field("partitions", children.len() as u64);
+            span.children = children;
+            span
+        });
+        let evaluation = Evaluation {
+            result: Instance::from_values(values),
+            stats,
+        };
+        Ok((evaluation, span))
+    }
+
+    /// A worker's state over overlays of the root's frozen store and domain
+    /// memo, sharing the root's domain handles and constant ids.
+    fn fork(&self, store: ValueStore, domains: DomainCache) -> Exec<'a, NoTrace> {
+        Exec {
+            db: self.db,
+            config: self.config,
+            compiled: self.compiled,
+            store,
+            domains,
+            domain_handles: self.domain_handles.clone(),
+            domain_sizes: vec![None; self.domain_sizes.len()],
+            env: vec![None; self.env.len()],
+            const_ids: self.const_ids.clone(),
+            relations: vec![None; self.relations.len()],
+            stats: EvalStats::default(),
+            interrupt: self.interrupt,
+            tracer: NoTrace,
+        }
+    }
+}
+
 impl<T: QuantTracer> Exec<'_, T> {
+    /// The rank loop: test every candidate of `ranks`, returning the
+    /// satisfied ones in rank order.
+    fn scan(&mut self, ranks: Range<u64>) -> Result<Vec<ValueId>, CalcError> {
+        let compiled = self.compiled;
+        let candidate_handle = self.domain_handles[0];
+        let mut satisfied: Vec<ValueId> = Vec::new();
+        for rank in ranks {
+            self.stats.candidates_checked += 1;
+            let candidate = self
+                .domains
+                .nth(candidate_handle, rank as u128, &mut self.store)?;
+            self.env[0] = Some(candidate);
+            if self.satisfies(&compiled.body)? {
+                satisfied.push(candidate);
+            }
+        }
+        Ok(satisfied)
+    }
+
+    /// Record the domain-memo and interner counters; `base_len` values were
+    /// interned before this state's store was forked.
+    fn count_caches(&mut self, base_len: u64) {
+        self.stats.domain_cache_hits = self.domains.hits();
+        self.stats.domain_cache_misses = self.domains.misses();
+        self.stats.interned_values = (self.store.len() as u64).saturating_sub(base_len);
+    }
+
     fn bump(&mut self) -> Result<(), CalcError> {
         self.stats.steps += 1;
         if self.stats.steps & POLL_MASK == 0 {
@@ -1284,9 +1171,11 @@ mod tests {
         let q = grandparent_query();
         let compiled = compile(&q).unwrap();
         let plain = compiled.eval_full(&db, &EvalConfig::default()).unwrap();
+        let disarmed = Interrupt::disarmed();
         let (traced, span) = compiled
-            .eval_traced(&db, &[], &EvalConfig::default())
+            .run(&db, &[], &EvalConfig::default(), disarmed, 1, true)
             .unwrap();
+        let span = span.expect("traced runs produce a span");
         assert_eq!(plain.result, traced.result);
         assert_eq!(plain.stats, traced.stats);
         assert_eq!(span.name, "compiled-eval");
@@ -1305,7 +1194,9 @@ mod tests {
             ..EvalConfig::default()
         };
         assert_eq!(
-            compiled.eval_traced(&db, &[], &starved).unwrap_err(),
+            compiled
+                .run(&db, &[], &starved, disarmed, 1, true)
+                .unwrap_err(),
             compiled.eval_full(&db, &starved).unwrap_err()
         );
     }
@@ -1319,22 +1210,25 @@ mod tests {
         for config in [EvalConfig::default(), EvalConfig::naive()] {
             let sequential = compiled.eval_full(&db, &config).unwrap();
             for workers in [1, 2, 3, 8, 64] {
-                let parallel = compiled
-                    .eval_governed_parallel(&db, &[], &config, Interrupt::disarmed(), workers)
+                let (parallel, span) = compiled
+                    .run(&db, &[], &config, Interrupt::disarmed(), workers, true)
                     .unwrap();
-                assert_eq!(sequential.result, parallel.evaluation.result);
-                let (s, p) = (&sequential.stats, &parallel.evaluation.stats);
+                assert_eq!(sequential.result, parallel.result);
+                let (s, p) = (&sequential.stats, &parallel.stats);
                 assert_eq!(s.steps, p.steps, "workers {workers}");
                 assert_eq!(s.quantifier_values, p.quantifier_values);
                 assert_eq!(s.candidates_checked, p.candidates_checked);
                 assert_eq!(s.max_domain_seen, p.max_domain_seen);
-                // Partition ranges tile the candidate space exactly once.
-                let mut covered = 0;
-                for part in &parallel.partitions {
-                    assert_eq!(part.ranks.0, covered);
-                    covered = part.ranks.1;
+                // Partition ranges tile the candidate space exactly once (one
+                // worker reports per-slot children instead).
+                if workers > 1 {
+                    let mut covered = 0;
+                    for part in &span.unwrap().children {
+                        assert_eq!(part.field("rank_start"), Some(covered));
+                        covered = part.field("rank_end").unwrap();
+                    }
+                    assert_eq!(covered, s.candidates_checked);
                 }
-                assert_eq!(covered, s.candidates_checked);
             }
         }
     }
@@ -1353,7 +1247,7 @@ mod tests {
         let sequential = compiled.eval_full(&db, &starved).unwrap_err();
         for workers in [1, 2, 8] {
             let parallel = compiled
-                .eval_governed_parallel(&db, &[], &starved, Interrupt::disarmed(), workers)
+                .run(&db, &[], &starved, Interrupt::disarmed(), workers, false)
                 .unwrap_err();
             assert_eq!(sequential, parallel, "workers {workers}");
             assert_eq!(sequential.to_string(), parallel.to_string());
@@ -1375,7 +1269,7 @@ mod tests {
         let sequential = compiled_big.eval_full(&db, &tiny).unwrap_err();
         for workers in [2, 8] {
             let parallel = compiled_big
-                .eval_governed_parallel(&db, &[], &tiny, Interrupt::disarmed(), workers)
+                .run(&db, &[], &tiny, Interrupt::disarmed(), workers, false)
                 .unwrap_err();
             assert_eq!(sequential, parallel);
         }
@@ -1391,12 +1285,12 @@ mod tests {
         flag.cancel();
         let cancelled = Interrupt::new().with_cancel(flag);
         let err = compiled
-            .eval_governed_parallel(&db, &[], &EvalConfig::default(), &cancelled, 4)
+            .run(&db, &[], &EvalConfig::default(), &cancelled, 4, false)
             .unwrap_err();
         assert_eq!(err.to_string(), "execution cancelled");
         let expired = Interrupt::new().with_deadline_millis(0);
         let err = compiled
-            .eval_governed_parallel(&db, &[], &EvalConfig::default(), &expired, 4)
+            .run(&db, &[], &EvalConfig::default(), &expired, 4, false)
             .unwrap_err();
         assert_eq!(err.to_string(), "execution deadline of 0 ms exceeded");
     }
@@ -1407,14 +1301,16 @@ mod tests {
         let db = par_db(&mut u, &[("Tom", "Mary"), ("Mary", "Sue")]);
         let compiled = compile(&grandparent_query()).unwrap();
         let (evaluation, span) = compiled
-            .eval_traced_governed_parallel(
+            .run(
                 &db,
                 &[],
                 &EvalConfig::default(),
                 Interrupt::disarmed(),
                 3,
+                true,
             )
             .unwrap();
+        let span = span.expect("traced runs produce a span");
         assert_eq!(span.name, "compiled-eval");
         assert_eq!(span.field("partitions"), Some(3));
         assert_eq!(span.children.len(), 3);
@@ -1433,16 +1329,20 @@ mod tests {
         let db = par_db(&mut u, &[("Tom", "Mary"), ("Mary", "Sue")]);
         let q = grandparent_query();
         let compiled = compile(&q).unwrap();
-        let wrapper = ParallelCompiled::new(&compiled, 4);
-        let via_wrapper =
-            Evaluable::eval_with_extra(&wrapper, &db, &[], &EvalConfig::default()).unwrap();
-        let sequential = compiled.eval_full(&db, &EvalConfig::default()).unwrap();
-        assert_eq!(via_wrapper.result, sequential.result);
-        assert_eq!(via_wrapper.stats.steps, sequential.stats.steps);
-        assert_eq!(
-            Evaluable::evaluation_domain(&wrapper, &db),
-            Evaluable::evaluation_domain(&compiled, &db)
-        );
+        let backend: &dyn Evaluable = &compiled;
+        let config = EvalConfig::default();
+        let partitioned = backend
+            .evaluate(&db, &[], &config, Interrupt::disarmed(), 4)
+            .unwrap();
+        let sequential = compiled.eval_full(&db, &config).unwrap();
+        assert_eq!(partitioned.result, sequential.result);
+        assert_eq!(partitioned.stats.steps, sequential.stats.steps);
+        // One worker through the trait is the root-store run, counters and
+        // all.
+        let one = backend
+            .evaluate(&db, &[], &config, Interrupt::disarmed(), 1)
+            .unwrap();
+        assert_eq!(one, sequential);
     }
 
     #[test]
@@ -1458,11 +1358,13 @@ mod tests {
         let compiled = compile(&q).unwrap();
         let plain = compiled.eval_full(&db, &EvalConfig::default()).unwrap();
         assert_eq!(plain.result.len(), 1);
-        let extended = Evaluable::eval_with_extra(
+        let extended = Evaluable::evaluate(
             &compiled,
             &db,
             &[Atom(100), Atom(101)],
             &EvalConfig::default(),
+            Interrupt::disarmed(),
+            1,
         )
         .unwrap();
         assert_eq!(extended.result.len(), 3);

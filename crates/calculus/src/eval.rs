@@ -331,31 +331,13 @@ fn restore(rho: &mut Assignment, var: &str, shadowed: Option<Value>) {
     }
 }
 
-/// Evaluate a query under the limited interpretation (`Y = ∅`).
+/// Evaluate `Q|^Y` with the tree walker, where `Y` is given by `extra`: every
+/// variable (including the target) ranges over objects constructed from
+/// `Y ∪ adom(d) ∪ adom(Q)`.  The evaluator polls `interrupt` once on entry and
+/// then every [`POLL_MASK`]+1 formula-node evaluations, surfacing deadline
+/// expiry, cancellation, and injected faults as [`CalcError::Resource`]; pass
+/// [`Interrupt::disarmed`] to run ungoverned.
 pub fn evaluate(
-    query: &Query,
-    db: &Database,
-    config: &EvalConfig,
-) -> Result<Evaluation, CalcError> {
-    evaluate_with_extra(query, db, &[], config)
-}
-
-/// Evaluate `Q|^Y` where `Y` is given by `extra`: every variable (including the
-/// target) ranges over objects constructed from `Y ∪ adom(d) ∪ adom(Q)`.
-pub fn evaluate_with_extra(
-    query: &Query,
-    db: &Database,
-    extra: &[Atom],
-    config: &EvalConfig,
-) -> Result<Evaluation, CalcError> {
-    evaluate_governed(query, db, extra, config, Interrupt::disarmed())
-}
-
-/// [`evaluate_with_extra`] under a resource governor: the evaluator polls
-/// `interrupt` once on entry and then every [`POLL_MASK`]+1 formula-node
-/// evaluations, surfacing deadline expiry, cancellation, and injected faults
-/// as [`CalcError::Resource`].
-pub fn evaluate_governed(
     query: &Query,
     db: &Database,
     extra: &[Atom],
@@ -415,29 +397,18 @@ pub fn evaluate_governed(
 pub trait Evaluable {
     /// Evaluate `Q|^Y` where `Y` is given by `extra`: every variable
     /// (including the target) ranges over objects constructed from
-    /// `Y ∪ adom(d) ∪ adom(Q)`.
-    fn eval_with_extra(
-        &self,
-        db: &Database,
-        extra: &[Atom],
-        config: &EvalConfig,
-    ) -> Result<Evaluation, CalcError>;
-
-    /// [`Evaluable::eval_with_extra`] under a resource governor: the backend
-    /// polls `interrupt` once on entry and then at quantifier-iteration
-    /// granularity.  The default implementation polls only on entry and
-    /// otherwise runs ungoverned; both built-in backends override it with
-    /// full-granularity polling.
-    fn eval_governed(
+    /// `Y ∪ adom(d) ∪ adom(Q)`.  The backend polls `interrupt` once on entry
+    /// and then at quantifier-iteration granularity.  `workers` is the number
+    /// of partitions the backend may split its candidate loop across; the
+    /// tree walker has no partitioned path and ignores it.
+    fn evaluate(
         &self,
         db: &Database,
         extra: &[Atom],
         config: &EvalConfig,
         interrupt: &Interrupt,
-    ) -> Result<Evaluation, CalcError> {
-        interrupt.check(0)?;
-        self.eval_with_extra(db, extra, config)
-    }
+        workers: usize,
+    ) -> Result<Evaluation, CalcError>;
 
     /// The atoms over which evaluation of this query on `db` ranges:
     /// `adom(d) ∪ adom(Q)`.
@@ -445,23 +416,15 @@ pub trait Evaluable {
 }
 
 impl Evaluable for Query {
-    fn eval_with_extra(
-        &self,
-        db: &Database,
-        extra: &[Atom],
-        config: &EvalConfig,
-    ) -> Result<Evaluation, CalcError> {
-        evaluate_with_extra(self, db, extra, config)
-    }
-
-    fn eval_governed(
+    fn evaluate(
         &self,
         db: &Database,
         extra: &[Atom],
         config: &EvalConfig,
         interrupt: &Interrupt,
+        _workers: usize,
     ) -> Result<Evaluation, CalcError> {
-        evaluate_governed(self, db, extra, config, interrupt)
+        evaluate(self, db, extra, config, interrupt)
     }
 
     fn evaluation_domain(&self, db: &Database) -> BTreeSet<Atom> {

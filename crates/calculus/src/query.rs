@@ -2,11 +2,11 @@
 
 use crate::classify::{classify, QueryClassification};
 use crate::error::CalcError;
-use crate::eval::{evaluate, evaluate_with_extra, EvalConfig, Evaluation};
+use crate::eval::{evaluate, EvalConfig, Evaluation};
 use crate::formula::Formula;
 use crate::term::Var;
 use crate::typing::{check_formula, TypeEnv};
-use itq_object::{Atom, Database, Instance, Schema, Type};
+use itq_object::{Atom, Database, Instance, Interrupt, Schema, Type};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -117,7 +117,7 @@ impl Query {
     /// Evaluate the query under the limited interpretation, returning the answer
     /// together with evaluation statistics.
     pub fn eval_full(&self, db: &Database, config: &EvalConfig) -> Result<Evaluation, CalcError> {
-        evaluate(self, db, config)
+        evaluate(self, db, &[], config, Interrupt::disarmed())
     }
 
     /// Evaluate `Q|^Y` where `Y` is the given set of extra (typically invented)
@@ -133,7 +133,7 @@ impl Query {
         extra: &[Atom],
         config: &EvalConfig,
     ) -> Result<Evaluation, CalcError> {
-        evaluate_with_extra(self, db, extra, config)
+        evaluate(self, db, extra, config, Interrupt::disarmed())
     }
 }
 

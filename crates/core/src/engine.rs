@@ -2,15 +2,10 @@
 //! the paper considers, with uniform configuration and error reporting.
 
 use itq_algebra::{AlgError, AlgExpr, EvalConfig as AlgConfig};
-use itq_calculus::eval::{EvalConfig, Evaluation};
+use itq_calculus::eval::EvalConfig;
 use itq_calculus::{CalcError, Query, QueryClassification};
-use itq_invention::{
-    finite_invention, terminal_invention, FiniteInventionReport, InventionConfig, InventionError,
-    TerminalOutcome,
-};
-use itq_object::{
-    CancelFlag, Database, Instance, Interrupt, ResourceError, Schema, TripKind, Universe,
-};
+use itq_invention::{InventionConfig, InventionError};
+use itq_object::{CancelFlag, Interrupt, ResourceError, Schema, TripKind, Universe};
 use std::fmt;
 
 /// Which semantics to evaluate a calculus query under.
@@ -207,20 +202,6 @@ impl GovernorConfig {
     }
 }
 
-/// The result of evaluating a query under an invention-aware semantics.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified `QueryOutcome` returned by `Prepared::execute` instead"
-)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SemanticAnswer {
-    /// The answer instance.
-    pub result: Instance,
-    /// True if the semantics was only decided up to its bound (finite invention)
-    /// or came back undefined within the bound (terminal invention).
-    pub bounded_approximation: bool,
-}
-
 /// The evaluation facade.
 ///
 /// An `Engine` is an immutable bundle of evaluation configuration (budgets,
@@ -252,8 +233,7 @@ pub struct Engine {
     /// fault injection); disarmed by default.
     pub(crate) governor: GovernorConfig,
     /// Worker count for in-query parallelism: the compiled evaluator's
-    /// candidate loop and the planner's hash-join probes partition across
-    /// this many scoped threads.  `1` (the default) is the sequential
+    /// candidate loop partitions across this many scoped threads.  `1` (the default) is the sequential
     /// ablation; the `ITQ_PARALLELISM` environment variable overrides the
     /// default at engine construction.
     pub(crate) parallelism: usize,
@@ -345,18 +325,6 @@ impl Engine {
         &mut self.governor
     }
 
-    /// An engine with custom calculus budgets.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Engine::builder().calc_config(..).build()` instead"
-    )]
-    pub fn with_calc_config(calc_config: EvalConfig) -> Engine {
-        Engine {
-            calc_config,
-            ..Engine::new()
-        }
-    }
-
     /// Access the engine's universe (used to intern workload atoms by name).
     pub fn universe_mut(&mut self) -> &mut Universe {
         &mut self.universe
@@ -378,139 +346,41 @@ impl Engine {
     pub fn classify(&self, query: &Query) -> QueryClassification {
         query.classification()
     }
-
-    /// Evaluate a calculus query under the limited interpretation.
-    ///
-    /// Legacy shim: prepares the query and executes it once, re-doing the
-    /// static work on every call.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `engine.prepare(query)?.execute(db, Semantics::Limited)` and reuse the handle"
-    )]
-    pub fn eval_calculus(&self, query: &Query, db: &Database) -> Result<Evaluation, EngineError> {
-        let outcome = self.prepare(query)?.execute(db, Semantics::Limited)?;
-        Ok(Evaluation {
-            result: outcome.result,
-            stats: outcome.stats.eval_stats(),
-        })
-    }
-
-    /// Evaluate an algebra expression.
-    ///
-    /// Legacy shim: compiles and prepares the expression on every call.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `engine.prepare_algebra(expr, schema)?.execute(db, Semantics::Limited)` and \
-                reuse the handle"
-    )]
-    pub fn eval_algebra(
-        &self,
-        expr: &AlgExpr,
-        schema: &Schema,
-        db: &Database,
-    ) -> Result<Instance, EngineError> {
-        let outcome = self
-            .prepare_algebra(expr, schema)?
-            .execute(db, Semantics::Limited)?;
-        Ok(outcome.result)
-    }
-
-    /// Evaluate a calculus query under finite invention, returning the full
-    /// per-level report.
-    ///
-    /// Invention draws its scratch atoms from a clone of the engine's universe,
-    /// so this takes `&self` (the engine is never mutated by evaluation).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `engine.prepare(query)?.execute(db, Semantics::FiniteInvention)`; the \
-                per-level trace is in `itq_invention::finite_invention` if needed"
-    )]
-    pub fn eval_finite_invention(
-        &self,
-        query: &Query,
-        db: &Database,
-    ) -> Result<FiniteInventionReport, EngineError> {
-        let mut scratch = self.universe.clone();
-        Ok(finite_invention(
-            query,
-            db,
-            &mut scratch,
-            &self.invention_config,
-        )?)
-    }
-
-    /// Evaluate a calculus query under terminal invention.
-    ///
-    /// Invention draws its scratch atoms from a clone of the engine's universe,
-    /// so this takes `&self` (the engine is never mutated by evaluation).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `engine.prepare(query)?.execute(db, Semantics::TerminalInvention)`"
-    )]
-    pub fn eval_terminal_invention(
-        &self,
-        query: &Query,
-        db: &Database,
-    ) -> Result<TerminalOutcome, EngineError> {
-        let mut scratch = self.universe.clone();
-        Ok(terminal_invention(
-            query,
-            db,
-            &mut scratch,
-            &self.invention_config,
-        )?)
-    }
-
-    /// Evaluate a query under the chosen [`Semantics`], reducing every outcome to
-    /// a [`SemanticAnswer`].
-    ///
-    /// Legacy shim over the prepared-query pipeline; note it now takes `&self`
-    /// for every semantics (invention scratch atoms come from an interior
-    /// clone of the universe, never from mutating the engine).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `engine.prepare(query)?.execute(db, semantics)` and reuse the handle"
-    )]
-    #[allow(deprecated)] // constructs the deprecated legacy result shape
-    pub fn eval_with_semantics(
-        &self,
-        query: &Query,
-        db: &Database,
-        semantics: Semantics,
-    ) -> Result<SemanticAnswer, EngineError> {
-        let outcome = self.prepare(query)?.execute(db, semantics)?;
-        Ok(SemanticAnswer {
-            result: outcome.result,
-            bounded_approximation: outcome.bounded_approximation,
-        })
-    }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shims stay covered until they are removed
 mod tests {
     use super::*;
     use crate::queries::{grandparent_query, parent_database, parent_schema};
     use itq_algebra::SelFormula;
     use itq_calculus::{CalcClass, Formula, Term};
-    use itq_object::{Atom, Type};
+    use itq_invention::{terminal_invention, TerminalOutcome};
+    use itq_object::{Atom, Database, Instance, Type};
 
     fn db() -> Database {
         parent_database(&[(Atom(0), Atom(1)), (Atom(1), Atom(2))])
     }
 
+    fn limited(engine: &Engine, query: &Query) -> Instance {
+        let prepared = engine.prepare(query).unwrap();
+        prepared.execute(&db(), Semantics::Limited).unwrap().result
+    }
+
+    fn algebra(engine: &Engine, expr: &AlgExpr) -> Instance {
+        let prepared = engine.prepare_algebra(expr, &parent_schema()).unwrap();
+        prepared.execute(&db(), Semantics::Limited).unwrap().result
+    }
+
     #[test]
     fn calculus_and_algebra_agree_through_the_engine() {
         let engine = Engine::new();
-        let calc = engine.eval_calculus(&grandparent_query(), &db()).unwrap();
+        let calc = limited(&engine, &grandparent_query());
         let alg_expr = AlgExpr::pred("PAR")
             .product(AlgExpr::pred("PAR"))
             .select(SelFormula::coords_eq(2, 3))
             .project(vec![1, 4]);
-        let alg = engine
-            .eval_algebra(&alg_expr, &parent_schema(), &db())
-            .unwrap();
-        assert_eq!(calc.result, alg);
+        let alg = algebra(&engine, &alg_expr);
+        assert_eq!(calc, alg);
         assert_eq!(
             engine.classify(&grandparent_query()).minimal_class,
             CalcClass::relational()
@@ -545,15 +415,11 @@ mod tests {
             parent_schema(),
         )
         .unwrap();
-        let engine = Engine::new();
-        let limited = engine
-            .eval_with_semantics(&q, &db(), Semantics::Limited)
-            .unwrap();
+        let prepared = Engine::new().prepare(&q).unwrap();
+        let limited = prepared.execute(&db(), Semantics::Limited).unwrap();
         assert!(limited.result.is_empty());
         assert!(!limited.bounded_approximation);
-        let invented = engine
-            .eval_with_semantics(&q, &db(), Semantics::FiniteInvention)
-            .unwrap();
+        let invented = prepared.execute(&db(), Semantics::FiniteInvention).unwrap();
         assert_eq!(invented.result.len(), 2);
     }
 
@@ -568,12 +434,24 @@ mod tests {
         .unwrap();
         let engine = Engine::new();
         let outcome = engine
-            .eval_with_semantics(&q, &db(), Semantics::TerminalInvention)
+            .prepare(&q)
+            .unwrap()
+            .execute(&db(), Semantics::TerminalInvention)
             .unwrap();
         assert!(outcome.bounded_approximation);
         assert!(outcome.result.is_empty());
         // And the raw API exposes the undefined outcome directly.
-        match engine.eval_terminal_invention(&q, &db()).unwrap() {
+        let (raw, _, _) = terminal_invention(
+            &q,
+            &db(),
+            &mut engine.universe().clone(),
+            engine.invention_config(),
+            Interrupt::disarmed(),
+            1,
+            false,
+        )
+        .unwrap();
+        match raw {
             TerminalOutcome::UndefinedWithinBound { tried } => assert!(tried > 0),
             other => panic!("unexpected outcome {other:?}"),
         }
@@ -620,9 +498,7 @@ mod tests {
             .select(SelFormula::coords_eq(2, 3))
             .project(vec![1, 4]);
         let compiled = engine.compile_algebra(&expr, &parent_schema()).unwrap();
-        let direct = engine.eval_calculus(&compiled, &db()).unwrap();
-        let alg = engine.eval_algebra(&expr, &parent_schema(), &db()).unwrap();
-        assert_eq!(direct.result, alg);
+        assert_eq!(limited(&engine, &compiled), algebra(&engine, &expr));
         // The read-only universe accessor observes interned atoms.
         let mut engine = Engine::new();
         engine.universe_mut().atom("Tom");

@@ -30,6 +30,8 @@ use std::time::Instant;
 trait LevelHook {
     const ENABLED: bool;
     fn level(&mut self, n: usize, restricted: &Instance, unrestricted: &Evaluation, micros: u64);
+    /// The sweep's root span over the recorded levels (`None` untraced).
+    fn root(self, name: &str, rows_out: usize) -> Option<Span>;
 }
 
 /// The untraced instantiation.
@@ -39,6 +41,9 @@ impl LevelHook for NoHook {
     const ENABLED: bool = false;
     #[inline(always)]
     fn level(&mut self, _n: usize, _r: &Instance, _u: &Evaluation, _micros: u64) {}
+    fn root(self, _name: &str, _rows_out: usize) -> Option<Span> {
+        None
+    }
 }
 
 /// The traced instantiation: one span per `Q|_n[d]` level.
@@ -59,6 +64,14 @@ impl LevelHook for SpanHook {
         span.push_field("candidates_checked", unrestricted.stats.candidates_checked);
         span.wall_micros = micros;
         self.spans.push(span);
+    }
+
+    fn root(self, name: &str, rows_out: usize) -> Option<Span> {
+        let mut root = Span::new(name);
+        root.push_field("invention_levels", self.spans.len() as u64);
+        root.push_field("rows_out", rows_out as u64);
+        root.children = self.spans;
+        Some(root)
     }
 }
 
@@ -91,27 +104,18 @@ impl Default for InventionConfig {
 /// Generic over the query form: a source-level [`Query`](itq_calculus::Query)
 /// runs the tree walker, a [`CompiledQuery`](itq_calculus::CompiledQuery) runs
 /// the slot-based interpreter — the prepared pipeline passes the latter so
-/// per-level re-evaluation never re-lowers the query.
+/// per-level re-evaluation never re-lowers the query.  The evaluation polls
+/// `interrupt` at its usual step granularity, so a deadline or cancellation
+/// fires mid-level rather than only between levels, and splits its candidate
+/// loop across `workers` partitions where the backend supports it.
 pub fn eval_with_invented<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
     universe: &mut Universe,
     n: usize,
     config: &EvalConfig,
-) -> Result<(Instance, Evaluation), InventionError> {
-    eval_with_invented_governed(query, db, universe, n, config, Interrupt::disarmed())
-}
-
-/// [`eval_with_invented`] under a resource governor: the underlying calculus
-/// evaluation polls `interrupt` at its usual step granularity, so a deadline or
-/// cancellation fires mid-level rather than only between levels.
-pub fn eval_with_invented_governed<Q: Evaluable + ?Sized>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    n: usize,
-    config: &EvalConfig,
     interrupt: &Interrupt,
+    workers: usize,
 ) -> Result<(Instance, Evaluation), InventionError> {
     let original_domain: BTreeSet<Atom> = query.evaluation_domain(db);
     // Draw atoms from the universe until we have `n` that are genuinely outside
@@ -124,7 +128,7 @@ pub fn eval_with_invented_governed<Q: Evaluable + ?Sized>(
             invented.push(candidate);
         }
     }
-    let evaluation = query.eval_governed(db, &invented, config, interrupt)?;
+    let evaluation = query.evaluate(db, &invented, config, interrupt, workers)?;
     let restricted = Instance::from_values(
         evaluation
             .result
@@ -167,145 +171,93 @@ impl FiniteInventionReport {
 }
 
 /// Approximate finite invention: `⋃_{n ≤ max} Q|_n[d]`, with a stabilisation
-/// report.  (The exact semantics is a countable union and is not computable in
+/// report and the aggregated [`EvalStats`] of every per-level evaluation.
+/// (The exact semantics is a countable union and is not computable in
 /// general; see Lemma 6.16.)
-pub fn finite_invention<Q: Evaluable + ?Sized>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-) -> Result<FiniteInventionReport, InventionError> {
-    Ok(finite_invention_with_stats(query, db, universe, config)?.0)
-}
-
-/// [`finite_invention`] plus the aggregated [`EvalStats`] of every per-level
-/// evaluation — the variant the prepared-query pipeline uses to fill its
-/// execution-statistics block.
+///
+/// Every per-level evaluation polls `interrupt` and partitions across
+/// `workers` (see [`eval_with_invented`]).  When `degrade` is `true` and a
+/// resource limit trips, the error is converted into a partial report with
+/// [`FiniteInventionReport::interrupted_at`] set — the union of the completed
+/// levels, which is a sound under-approximation of the bounded answer.  When
+/// `degrade` is `false` the resource error propagates unchanged.
+///
+/// With `traced`, the returned `finite-invention` [`Span`] carries one child
+/// per completed `Q|_n[d]` level with the level's answer sizes and
+/// evaluation counters; the report and statistics are byte-identical to the
+/// untraced run.
 ///
 /// ```
 /// use itq_calculus::{Formula, Query};
-/// use itq_invention::{finite_invention_with_stats, InventionConfig};
-/// use itq_object::{Atom, Database, Instance, Schema, Type, Universe};
+/// use itq_invention::{finite_invention, InventionConfig};
+/// use itq_object::{Atom, Database, Instance, Interrupt, Schema, Type, Universe};
 ///
 /// let q = Query::new("t", Type::Atomic, Formula::pred("R", itq_calculus::Term::var("t")),
 ///                    Schema::single("R", Type::Atomic)).unwrap();
 /// let db = Database::single("R", Instance::from_atoms(vec![Atom(0)]));
 /// let mut universe = Universe::new();
-/// let (report, stats) =
-///     finite_invention_with_stats(&q, &db, &mut universe, &InventionConfig::default()).unwrap();
+/// let config = InventionConfig::default();
+/// let (report, stats, span) =
+///     finite_invention(&q, &db, &mut universe, &config, Interrupt::disarmed(), 1, false, true)
+///         .unwrap();
 /// assert_eq!(report.union.len(), 1);
 /// assert!(stats.steps > 0, "one evaluation per invention level was counted");
+/// assert_eq!(span.unwrap().children.len(), report.levels());
 /// ```
-pub fn finite_invention_with_stats<Q: Evaluable + ?Sized>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-) -> Result<(FiniteInventionReport, EvalStats), InventionError> {
-    finite_invention_inner(
-        query,
-        db,
-        universe,
-        config,
-        Interrupt::disarmed(),
-        false,
-        &mut NoHook,
-    )
-}
-
-/// [`finite_invention_with_stats`] under a resource governor.
-///
-/// Every per-level evaluation polls `interrupt`.  When `degrade` is `true` and
-/// a resource limit trips after at least the level-0 evaluation started, the
-/// error is converted into a partial report with
-/// [`FiniteInventionReport::interrupted_at`] set — the union of the completed
-/// levels, which is a sound under-approximation of the bounded answer.  When
-/// `degrade` is `false` the resource error propagates unchanged.
-pub fn finite_invention_governed_with_stats<Q: Evaluable + ?Sized>(
+#[allow(clippy::too_many_arguments)]
+pub fn finite_invention<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
     universe: &mut Universe,
     config: &InventionConfig,
     interrupt: &Interrupt,
+    workers: usize,
     degrade: bool,
-) -> Result<(FiniteInventionReport, EvalStats), InventionError> {
-    finite_invention_inner(query, db, universe, config, interrupt, degrade, &mut NoHook)
-}
-
-/// [`finite_invention_traced`] under a resource governor; see
-/// [`finite_invention_governed_with_stats`] for the degradation contract.
-pub fn finite_invention_governed_traced<Q: Evaluable + ?Sized>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-    interrupt: &Interrupt,
-    degrade: bool,
-) -> Result<(FiniteInventionReport, EvalStats, Vec<Span>), InventionError> {
-    let mut hook = SpanHook::default();
-    let (report, stats) =
-        finite_invention_inner(query, db, universe, config, interrupt, degrade, &mut hook)?;
-    Ok((report, stats, hook.spans))
-}
-
-/// [`finite_invention_with_stats`] with per-level tracing: one [`Span`] per
-/// `Q|_n[d]` level, carrying the level's answer sizes and evaluation
-/// counters.  The report and statistics are byte-identical to the untraced
-/// variant.
-pub fn finite_invention_traced<Q: Evaluable + ?Sized>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-) -> Result<(FiniteInventionReport, EvalStats, Vec<Span>), InventionError> {
-    let mut hook = SpanHook::default();
-    let (report, stats) = finite_invention_inner(
-        query,
-        db,
-        universe,
-        config,
-        Interrupt::disarmed(),
-        false,
-        &mut hook,
-    )?;
-    Ok((report, stats, hook.spans))
+    traced: bool,
+) -> Result<(FiniteInventionReport, EvalStats, Option<Span>), InventionError> {
+    if traced {
+        let hook = SpanHook::default();
+        finite_sweep(
+            query, db, universe, config, interrupt, workers, degrade, hook,
+        )
+    } else {
+        finite_sweep(
+            query, db, universe, config, interrupt, workers, degrade, NoHook,
+        )
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
-fn finite_invention_inner<Q: Evaluable + ?Sized, H: LevelHook>(
+fn finite_sweep<Q: Evaluable + ?Sized, H: LevelHook>(
     query: &Q,
     db: &Database,
     universe: &mut Universe,
     config: &InventionConfig,
     interrupt: &Interrupt,
+    workers: usize,
     degrade: bool,
-    hook: &mut H,
-) -> Result<(FiniteInventionReport, EvalStats), InventionError> {
+    mut hook: H,
+) -> Result<(FiniteInventionReport, EvalStats, Option<Span>), InventionError> {
     let mut answers = Vec::new();
     let mut union = Instance::empty();
     let mut stabilised_at = None;
+    let mut interrupted_at = None;
     let mut stats = EvalStats::default();
     for n in 0..=config.max_invented {
         let start = H::ENABLED.then(Instant::now);
-        let (restricted, evaluation) =
-            match eval_with_invented_governed(query, db, universe, n, &config.eval, interrupt) {
-                Ok(level) => level,
-                Err(InventionError::Resource(_)) if degrade => {
-                    // Sound under-approximation: every completed level is a
-                    // subset of the bounded union, so returning what finished
-                    // can omit answers but never invent wrong ones.
-                    return Ok((
-                        FiniteInventionReport {
-                            answers,
-                            union,
-                            stabilised_at: None,
-                            interrupted_at: Some(n),
-                        },
-                        stats,
-                    ));
-                }
-                Err(e) => return Err(e),
-            };
+        let level = eval_with_invented(query, db, universe, n, &config.eval, interrupt, workers);
+        let (restricted, evaluation) = match level {
+            Ok(level) => level,
+            Err(InventionError::Resource(_)) if degrade => {
+                // Sound under-approximation: every completed level is a
+                // subset of the bounded union, so returning what finished
+                // can omit answers but never invent wrong ones.
+                stabilised_at = None;
+                interrupted_at = Some(n);
+                break;
+            }
+            Err(e) => return Err(e),
+        };
         if let Some(start) = start {
             hook.level(
                 n,
@@ -326,15 +278,14 @@ fn finite_invention_inner<Q: Evaluable + ?Sized, H: LevelHook>(
         }
         answers.push(restricted);
     }
-    Ok((
-        FiniteInventionReport {
-            answers,
-            union,
-            stabilised_at,
-            interrupted_at: None,
-        },
-        stats,
-    ))
+    let span = hook.root("finite-invention", union.len());
+    let report = FiniteInventionReport {
+        answers,
+        union,
+        stabilised_at,
+        interrupted_at,
+    };
+    Ok((report, stats, span))
 }
 
 /// Bounded invention `Q|_f[d]` for a bound function `f` of the active-domain
@@ -349,7 +300,8 @@ pub fn bounded_invention<Q: Evaluable + ?Sized>(
     let limit = bound(db.active_domain().len());
     let mut union = Instance::empty();
     for n in 0..=limit {
-        let (restricted, _) = eval_with_invented(query, db, universe, n, config)?;
+        let (restricted, _) =
+            eval_with_invented(query, db, universe, n, config, Interrupt::disarmed(), 1)?;
         for v in restricted.iter() {
             union.insert(v.clone());
         }
@@ -378,118 +330,77 @@ pub enum TerminalOutcome {
 }
 
 /// Terminal invention `Q^ti[d]` (Theorem 6.19), searched up to
-/// `config.max_invented` levels.
-pub fn terminal_invention<Q: Evaluable + ?Sized>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-) -> Result<TerminalOutcome, InventionError> {
-    Ok(terminal_invention_with_stats(query, db, universe, config)?.0)
-}
-
-/// [`terminal_invention`] plus the aggregated [`EvalStats`] of every level
-/// searched — the variant the prepared-query pipeline uses to fill its
-/// execution-statistics block.
+/// `config.max_invented` levels, plus the aggregated [`EvalStats`] of every
+/// level searched.
+///
+/// Every per-level evaluation polls `interrupt` and partitions across
+/// `workers` (see [`eval_with_invented`]).  Terminal invention returns the
+/// answer at the *least* inventing level, so a partially completed search
+/// carries no sound answer — unlike finite invention there is no degraded
+/// mode, and a resource limit always surfaces as an error.
+///
+/// With `traced`, the returned `terminal-invention` [`Span`] carries one
+/// child per `Q|_n[d]` level searched (the search stops at the defining
+/// level, so a defined outcome at `n` yields `n + 1` children).  The outcome
+/// and statistics are byte-identical to the untraced run.
 ///
 /// ```
 /// use itq_calculus::{Formula, Query};
-/// use itq_invention::{terminal_invention_with_stats, InventionConfig, TerminalOutcome};
-/// use itq_object::{Atom, Database, Instance, Schema, Type, Universe};
+/// use itq_invention::{terminal_invention, InventionConfig, TerminalOutcome};
+/// use itq_object::{Atom, Database, Instance, Interrupt, Schema, Type, Universe};
 ///
 /// // {t/U | ⊤} surfaces an invented value at n = 1.
 /// let q = Query::new("t", Type::Atomic, Formula::truth(),
 ///                    Schema::single("R", Type::Atomic)).unwrap();
 /// let db = Database::single("R", Instance::from_atoms(vec![Atom(0)]));
 /// let mut universe = Universe::new();
-/// let (outcome, stats) =
-///     terminal_invention_with_stats(&q, &db, &mut universe, &InventionConfig::default()).unwrap();
+/// let config = InventionConfig::default();
+/// let (outcome, stats, span) =
+///     terminal_invention(&q, &db, &mut universe, &config, Interrupt::disarmed(), 1, false)
+///         .unwrap();
 /// assert!(matches!(outcome, TerminalOutcome::Defined { n: 1, .. }));
 /// assert!(stats.candidates_checked > 0);
+/// assert!(span.is_none(), "untraced runs build no spans");
 /// ```
-pub fn terminal_invention_with_stats<Q: Evaluable + ?Sized>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-) -> Result<(TerminalOutcome, EvalStats), InventionError> {
-    terminal_invention_inner(
-        query,
-        db,
-        universe,
-        config,
-        Interrupt::disarmed(),
-        &mut NoHook,
-    )
-}
-
-/// [`terminal_invention_with_stats`] under a resource governor.
-///
-/// Terminal invention returns the answer at the *least* inventing level, so a
-/// partially completed search carries no sound answer — unlike finite
-/// invention there is no degraded mode, and a resource limit always surfaces
-/// as an error.
-pub fn terminal_invention_governed_with_stats<Q: Evaluable + ?Sized>(
+pub fn terminal_invention<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
     universe: &mut Universe,
     config: &InventionConfig,
     interrupt: &Interrupt,
-) -> Result<(TerminalOutcome, EvalStats), InventionError> {
-    terminal_invention_inner(query, db, universe, config, interrupt, &mut NoHook)
+    workers: usize,
+    traced: bool,
+) -> Result<(TerminalOutcome, EvalStats, Option<Span>), InventionError> {
+    if traced {
+        terminal_search(
+            query,
+            db,
+            universe,
+            config,
+            interrupt,
+            workers,
+            SpanHook::default(),
+        )
+    } else {
+        terminal_search(query, db, universe, config, interrupt, workers, NoHook)
+    }
 }
 
-/// [`terminal_invention_traced`] under a resource governor; see
-/// [`terminal_invention_governed_with_stats`].
-pub fn terminal_invention_governed_traced<Q: Evaluable + ?Sized>(
+fn terminal_search<Q: Evaluable + ?Sized, H: LevelHook>(
     query: &Q,
     db: &Database,
     universe: &mut Universe,
     config: &InventionConfig,
     interrupt: &Interrupt,
-) -> Result<(TerminalOutcome, EvalStats, Vec<Span>), InventionError> {
-    let mut hook = SpanHook::default();
-    let (outcome, stats) =
-        terminal_invention_inner(query, db, universe, config, interrupt, &mut hook)?;
-    Ok((outcome, stats, hook.spans))
-}
-
-/// [`terminal_invention_with_stats`] with per-level tracing: one [`Span`] per
-/// `Q|_n[d]` level searched (the search stops at the defining level, so a
-/// defined outcome at `n` yields `n + 1` spans).  The outcome and statistics
-/// are byte-identical to the untraced variant.
-pub fn terminal_invention_traced<Q: Evaluable + ?Sized>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-) -> Result<(TerminalOutcome, EvalStats, Vec<Span>), InventionError> {
-    let mut hook = SpanHook::default();
-    let (outcome, stats) = terminal_invention_inner(
-        query,
-        db,
-        universe,
-        config,
-        Interrupt::disarmed(),
-        &mut hook,
-    )?;
-    Ok((outcome, stats, hook.spans))
-}
-
-fn terminal_invention_inner<Q: Evaluable + ?Sized, H: LevelHook>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-    interrupt: &Interrupt,
-    hook: &mut H,
-) -> Result<(TerminalOutcome, EvalStats), InventionError> {
+    workers: usize,
+    mut hook: H,
+) -> Result<(TerminalOutcome, EvalStats, Option<Span>), InventionError> {
     let original_domain: BTreeSet<Atom> = query.evaluation_domain(db);
     let mut stats = EvalStats::default();
     for n in 0..=config.max_invented {
         let start = H::ENABLED.then(Instant::now);
         let (restricted, unrestricted) =
-            eval_with_invented_governed(query, db, universe, n, &config.eval, interrupt)?;
+            eval_with_invented(query, db, universe, n, &config.eval, interrupt, workers)?;
         if let Some(start) = start {
             hook.level(
                 n,
@@ -505,21 +416,18 @@ fn terminal_invention_inner<Q: Evaluable + ?Sized, H: LevelHook>(
                 .any(|a| !original_domain.contains(a))
         });
         if contains_invented {
-            return Ok((
-                TerminalOutcome::Defined {
-                    n,
-                    answer: restricted,
-                },
-                stats,
-            ));
+            let span = hook.root("terminal-invention", restricted.len());
+            let outcome = TerminalOutcome::Defined {
+                n,
+                answer: restricted,
+            };
+            return Ok((outcome, stats, span));
         }
     }
-    Ok((
-        TerminalOutcome::UndefinedWithinBound {
-            tried: config.max_invented + 1,
-        },
-        stats,
-    ))
+    let outcome = TerminalOutcome::UndefinedWithinBound {
+        tried: config.max_invented + 1,
+    };
+    Ok((outcome, stats, hook.root("terminal-invention", 0)))
 }
 
 #[cfg(test)]
@@ -527,6 +435,50 @@ mod tests {
     use super::*;
     use itq_calculus::{Formula, Query, Term};
     use itq_object::{Schema, Type};
+
+    /// One ungoverned, one-worker `Q|_n[d]` level.
+    fn level(
+        q: &Query,
+        db: &Database,
+        universe: &mut Universe,
+        n: usize,
+        cfg: &EvalConfig,
+    ) -> (Instance, Evaluation) {
+        eval_with_invented(q, db, universe, n, cfg, Interrupt::disarmed(), 1).unwrap()
+    }
+
+    /// An ungoverned, untraced, one-worker finite-invention sweep.
+    fn finite(
+        q: &Query,
+        db: &Database,
+        universe: &mut Universe,
+        config: &InventionConfig,
+    ) -> FiniteInventionReport {
+        finite_invention(
+            q,
+            db,
+            universe,
+            config,
+            Interrupt::disarmed(),
+            1,
+            false,
+            false,
+        )
+        .unwrap()
+        .0
+    }
+
+    /// An ungoverned, untraced, one-worker terminal-invention search.
+    fn terminal(
+        q: &Query,
+        db: &Database,
+        universe: &mut Universe,
+        config: &InventionConfig,
+    ) -> TerminalOutcome {
+        terminal_invention(q, db, universe, config, Interrupt::disarmed(), 1, false)
+            .unwrap()
+            .0
+    }
 
     fn unary_schema() -> Schema {
         Schema::single("R", Type::Atomic)
@@ -563,9 +515,9 @@ mod tests {
         let mut universe = Universe::new();
         universe.atoms(["a", "b", "c"]);
         let cfg = EvalConfig::default();
-        let (level0, _) = eval_with_invented(&q, &db, &mut universe, 0, &cfg).unwrap();
+        let (level0, _) = level(&q, &db, &mut universe, 0, &cfg);
         assert!(level0.is_empty(), "no witness without invention");
-        let (level1, _) = eval_with_invented(&q, &db, &mut universe, 1, &cfg).unwrap();
+        let (level1, _) = level(&q, &db, &mut universe, 1, &cfg);
         assert_eq!(level1.len(), 3, "one invented value provides the witness");
         // The answer never contains an invented value.
         let original = q.evaluation_domain(&db);
@@ -580,7 +532,7 @@ mod tests {
         let db = unary_db(2);
         let mut universe = Universe::new();
         universe.atoms(["a", "b"]);
-        let report = finite_invention(&q, &db, &mut universe, &InventionConfig::default()).unwrap();
+        let report = finite(&q, &db, &mut universe, &InventionConfig::default());
         assert_eq!(report.levels(), 5);
         assert!(report.answers[0].is_empty());
         assert_eq!(report.answers[1].len(), 2);
@@ -611,9 +563,9 @@ mod tests {
         let mut universe = Universe::new();
         universe.atoms(["a", "b"]);
         let cfg = EvalConfig::default();
-        let (baseline, _) = eval_with_invented(&q, &db, &mut universe, 0, &cfg).unwrap();
+        let (baseline, _) = level(&q, &db, &mut universe, 0, &cfg);
         for n in 1..4 {
-            let (with_invention, _) = eval_with_invented(&q, &db, &mut universe, n, &cfg).unwrap();
+            let (with_invention, _) = level(&q, &db, &mut universe, n, &cfg);
             assert_eq!(with_invention, baseline, "n = {n}");
         }
     }
@@ -641,8 +593,7 @@ mod tests {
         let db = unary_db(2);
         let mut universe = Universe::new();
         universe.atoms(["a", "b"]);
-        let outcome =
-            terminal_invention(&q, &db, &mut universe, &InventionConfig::default()).unwrap();
+        let outcome = terminal(&q, &db, &mut universe, &InventionConfig::default());
         match outcome {
             TerminalOutcome::Defined { n, answer } => {
                 assert_eq!(n, 1);
@@ -671,7 +622,7 @@ mod tests {
             max_invented: 2,
             ..Default::default()
         };
-        let outcome = terminal_invention(&q, &db, &mut universe, &config).unwrap();
+        let outcome = terminal(&q, &db, &mut universe, &config);
         assert_eq!(outcome, TerminalOutcome::UndefinedWithinBound { tried: 3 });
     }
 
@@ -686,16 +637,11 @@ mod tests {
         let db = unary_db(4);
         let mut universe = Universe::new();
         universe.atoms(["a", "b", "c", "d"]);
-        let report = finite_invention(
-            &q,
-            &db,
-            &mut universe,
-            &InventionConfig {
-                max_invented: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let config = InventionConfig {
+            max_invented: 2,
+            ..Default::default()
+        };
+        let report = finite(&q, &db, &mut universe, &config);
         let original = q.evaluation_domain(&db);
         for answer in &report.answers {
             for v in answer.iter() {
@@ -713,16 +659,26 @@ mod tests {
             ..Default::default()
         };
 
+        let disarmed = Interrupt::disarmed();
         let mut u1 = Universe::new();
         u1.atoms(["a", "b"]);
-        let (plain_report, plain_stats) =
-            finite_invention_with_stats(&q, &db, &mut u1, &config).unwrap();
+        let (plain_report, plain_stats, none) =
+            finite_invention(&q, &db, &mut u1, &config, disarmed, 1, false, false).unwrap();
+        assert!(none.is_none());
         let mut u2 = Universe::new();
         u2.atoms(["a", "b"]);
-        let (traced_report, traced_stats, spans) =
-            finite_invention_traced(&q, &db, &mut u2, &config).unwrap();
+        let (traced_report, traced_stats, root) =
+            finite_invention(&q, &db, &mut u2, &config, disarmed, 1, false, true).unwrap();
+        let root = root.unwrap();
         assert_eq!(plain_report, traced_report);
         assert_eq!(plain_stats, traced_stats);
+        assert_eq!(root.name, "finite-invention");
+        assert_eq!(root.field("invention_levels"), Some(4));
+        assert_eq!(
+            root.field("rows_out"),
+            Some(traced_report.union.len() as u64)
+        );
+        let spans = &root.children;
         assert_eq!(spans.len(), 4, "one span per level 0..=3");
         assert_eq!(spans[0].name, "Q|_0[d]");
         assert_eq!(spans[0].field("answers"), Some(0));
@@ -736,12 +692,13 @@ mod tests {
 
         let mut u3 = Universe::new();
         u3.atoms(["a", "b"]);
-        let (plain_outcome, plain_term_stats) =
-            terminal_invention_with_stats(&q, &db, &mut u3, &config).unwrap();
+        let (plain_outcome, plain_term_stats, _) =
+            terminal_invention(&q, &db, &mut u3, &config, disarmed, 1, false).unwrap();
         let mut u4 = Universe::new();
         u4.atoms(["a", "b"]);
-        let (traced_outcome, traced_term_stats, term_spans) =
-            terminal_invention_traced(&q, &db, &mut u4, &config).unwrap();
+        let (traced_outcome, traced_term_stats, term_root) =
+            terminal_invention(&q, &db, &mut u4, &config, disarmed, 1, true).unwrap();
+        let term_spans = term_root.unwrap().children;
         assert_eq!(plain_outcome, traced_outcome);
         assert_eq!(plain_term_stats, traced_term_stats);
         assert_eq!(term_spans.len(), 4, "undefined search visits every level");

@@ -6,8 +6,9 @@
 //!
 //! The design contract is *zero cost when off*: every instrumented layer
 //! keeps its untraced execution path byte-for-byte unchanged and only builds
-//! spans on an explicitly traced variant (`execute_traced`, `eval_traced`,
-//! …).  A sink whose [`TraceSink::is_enabled`] returns `false` — the
+//! spans when its execute entry point is called with tracing on
+//! (`Prepared::execute_traced`, `CompiledQuery::run`,
+//! `PhysicalPlan::execute`, …).  A sink whose [`TraceSink::is_enabled`] returns `false` — the
 //! [`NoopSink`] — short-circuits the traced entry points straight back onto
 //! the untraced path, so attaching it costs one virtual call per execution.
 //!

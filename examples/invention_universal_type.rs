@@ -6,7 +6,6 @@
 //! Run with `cargo run --release --example invention_universal_type`.
 
 use itq_core::prelude::*;
-use itq_invention::eval_with_invented;
 
 fn main() {
     let mut universe = Universe::new();
@@ -65,9 +64,15 @@ fn main() {
     .unwrap();
     let db = Database::single("GUEST", Instance::from_atoms(vec![alice, bob, carol]));
 
-    let config = EvalConfig::default();
-    let (limited, _) = eval_with_invented(&query, &db, &mut universe, 0, &config).unwrap();
-    let (with_one, _) = eval_with_invented(&query, &db, &mut universe, 1, &config).unwrap();
+    // Bounding finite invention at one level gives Q|_0 ∪ Q|_1: the limited
+    // answer plus whatever a single invented value adds.
+    let one_level = Engine::builder().max_invented(1).build();
+    let prepared = one_level.prepare(&query).unwrap();
+    let limited = prepared.execute(&db, Semantics::Limited).unwrap().result;
+    let with_one = prepared
+        .execute(&db, Semantics::FiniteInvention)
+        .unwrap()
+        .result;
     println!(
         "limited interpretation: {} answers; with one invented value: {} answers",
         limited.len(),

@@ -225,7 +225,9 @@ fn alg_expr() -> BoxedStrategy<AlgExpr> {
 /// [`AlgError`] (budget messages included).
 fn assert_algebra_paths_agree(expr: &AlgExpr, db: &Database, config: &AlgConfig) {
     let physical = plan(expr, &schema()).expect("generated expressions are well-typed");
-    let planned = physical.execute(db, config).map(|(result, _)| result);
+    let planned = physical
+        .execute(db, config, Interrupt::disarmed(), false)
+        .map(|(result, _, _)| result);
     let tuple = expr.eval(db, &schema(), config);
     assert_eq!(planned, tuple, "planned vs tuple-at-a-time on {expr}");
 }
@@ -434,7 +436,7 @@ fn product_budget_error_string_is_byte_identical_across_backends() {
     assert_eq!(tuple_err.to_string(), expected);
     let planned_err = plan(&expr, &schema())
         .unwrap()
-        .execute(&db, &tiny)
+        .execute(&db, &tiny, Interrupt::disarmed(), false)
         .unwrap_err();
     assert_eq!(planned_err.to_string(), expected);
     assert_eq!(planned_err, tuple_err);

@@ -11,6 +11,30 @@ use itq_invention::{
 };
 use itq_workloads::people::person_database;
 
+/// One ungoverned, one-worker `Q|_n[d]` level: the restricted answer.
+fn level(query: &Query, db: &Database, universe: &mut Universe, n: usize) -> Instance {
+    let config = EvalConfig::default();
+    eval_with_invented(query, db, universe, n, &config, Interrupt::disarmed(), 1)
+        .unwrap()
+        .0
+}
+
+/// An ungoverned, untraced, one-worker terminal-invention search.
+fn terminal(query: &Query, db: &Database, universe: &mut Universe) -> TerminalOutcome {
+    let config = InventionConfig::default();
+    terminal_invention(
+        query,
+        db,
+        universe,
+        &config,
+        Interrupt::disarmed(),
+        1,
+        false,
+    )
+    .unwrap()
+    .0
+}
+
 /// Theorem 6.11 (spot-check): invention does not change the answers of
 /// relational-calculus queries.
 #[test]
@@ -23,11 +47,10 @@ fn relational_queries_are_invention_invariant() {
         (Atom(3), Atom(4)),
     ]);
     let mut universe = Universe::new();
-    let config = EvalConfig::default();
     for query in queries {
-        let (baseline, _) = eval_with_invented(&query, &db, &mut universe, 0, &config).unwrap();
+        let baseline = level(&query, &db, &mut universe, 0);
         for n in 1..=3 {
-            let (answer, _) = eval_with_invented(&query, &db, &mut universe, n, &config).unwrap();
+            let answer = level(&query, &db, &mut universe, n);
             assert_eq!(answer, baseline, "n = {n}");
         }
     }
@@ -39,11 +62,10 @@ fn relational_queries_are_invention_invariant() {
 fn parity_query_is_invention_invariant_on_small_inputs() {
     let query = queries::even_cardinality_query();
     let mut universe = Universe::new();
-    let config = EvalConfig::default();
     for n in 0..4u32 {
         let db = person_database(n);
-        let (baseline, _) = eval_with_invented(&query, &db, &mut universe, 0, &config).unwrap();
-        let (with_one, _) = eval_with_invented(&query, &db, &mut universe, 1, &config).unwrap();
+        let baseline = level(&query, &db, &mut universe, 0);
+        let with_one = level(&query, &db, &mut universe, 1);
         assert_eq!(baseline, with_one, "n = {n}");
         // Odd committees (and the empty one, which has no persons to return) give
         // an empty answer; non-empty even committees return every person.
@@ -77,7 +99,19 @@ fn finite_invention_strictly_extends_the_limited_interpretation() {
     let query = needs_invention_query();
     let db = person_database(3);
     let mut universe = Universe::new();
-    let report = finite_invention(&query, &db, &mut universe, &InventionConfig::default()).unwrap();
+    let config = InventionConfig::default();
+    let disarmed = Interrupt::disarmed();
+    let (report, _, _) = finite_invention(
+        &query,
+        &db,
+        &mut universe,
+        &config,
+        disarmed,
+        1,
+        false,
+        false,
+    )
+    .unwrap();
     assert!(report.answers[0].is_empty());
     assert_eq!(report.answers[1].len(), 3);
     assert_eq!(report.union.len(), 3);
@@ -100,8 +134,7 @@ fn terminal_invention_is_defined_exactly_when_invented_values_surface() {
         Schema::single("PERSON", Type::Atomic),
     )
     .unwrap();
-    match terminal_invention(&everything, &db, &mut universe, &InventionConfig::default()).unwrap()
-    {
+    match terminal(&everything, &db, &mut universe) {
         TerminalOutcome::Defined { n, answer } => {
             assert_eq!(n, 1);
             assert_eq!(answer.len(), 2);
@@ -110,7 +143,7 @@ fn terminal_invention_is_defined_exactly_when_invented_values_surface() {
     }
     // The guarded query never outputs invented values → undefined within bound.
     let guarded = needs_invention_query();
-    match terminal_invention(&guarded, &db, &mut universe, &InventionConfig::default()).unwrap() {
+    match terminal(&guarded, &db, &mut universe) {
         TerminalOutcome::UndefinedWithinBound { tried } => assert!(tried >= 1),
         other => panic!("unexpected {other:?}"),
     }

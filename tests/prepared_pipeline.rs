@@ -1,15 +1,15 @@
 //! Integration suite for the prepare-once / execute-many pipeline: on the
 //! genealogy, parity, and exponent workloads, [`Prepared::execute`] must be
-//! bit-identical to the legacy per-call `eval_*` API under all three
-//! semantics, a single handle must survive many executions, and the static
-//! artifacts cached at prepare time must equal what the underlying crates
-//! compute directly (property-tested over generated queries).
-
-#![allow(deprecated)] // half of this suite *is* the legacy API, for comparison
+//! bit-identical to driving the backend crates directly (the compiled
+//! evaluator and the invention sweeps) under all three semantics, a single
+//! handle must survive many executions, and the static artifacts cached at
+//! prepare time must equal what the underlying crates compute directly
+//! (property-tested over generated queries).
 
 use itq_calculus::{Formula, Query};
 use itq_core::prelude::*;
 use itq_core::queries;
+use itq_invention::{finite_invention, terminal_invention};
 use proptest::prelude::*;
 
 /// The exemplar queries of the three workloads named by the acceptance
@@ -28,40 +28,66 @@ fn engine() -> Engine {
 #[test]
 fn prepared_execute_is_bit_identical_to_the_legacy_api_under_all_semantics() {
     let engine = engine();
+    let disarmed = Interrupt::disarmed();
     for (name, query, db) in workloads() {
         let prepared = engine.prepare(&query).unwrap();
-        for semantics in Semantics::ALL {
-            let outcome = prepared.execute(&db, semantics).unwrap();
-            let legacy = engine.eval_with_semantics(&query, &db, semantics).unwrap();
-            assert_eq!(outcome.result, legacy.result, "{name} under {semantics}");
-            assert_eq!(
-                outcome.bounded_approximation, legacy.bounded_approximation,
-                "{name} under {semantics}"
-            );
-        }
-        // The richer legacy shapes agree with the unified outcome too.
-        let evaluation = engine.eval_calculus(&query, &db).unwrap();
+        let workers = prepared.parallelism();
+        // Limited: the compiled evaluator run directly, counters and all.
+        let (evaluation, _) = prepared
+            .compiled()
+            .run(&db, &[], engine.calc_config(), disarmed, workers, false)
+            .unwrap();
         let limited = prepared.execute(&db, Semantics::Limited).unwrap();
         assert_eq!(evaluation.result, limited.result, "{name}");
+        assert!(!limited.bounded_approximation, "{name}");
         assert_eq!(
             evaluation.stats,
             limited.stats.eval_stats_for_tests(),
             "{name}"
         );
-        let report = engine.eval_finite_invention(&query, &db).unwrap();
+        // The invention semantics: the sweeps of itq-invention over the
+        // source query (the tree walker), from a clone of the engine's
+        // universe.
+        let (report, _, _) = finite_invention(
+            &query,
+            &db,
+            &mut engine.universe().clone(),
+            engine.invention_config(),
+            disarmed,
+            1,
+            false,
+            false,
+        )
+        .unwrap();
         let finite = prepared.execute(&db, Semantics::FiniteInvention).unwrap();
         assert_eq!(report.union, finite.result, "{name}");
         assert_eq!(report.stabilised_at, finite.stabilised_at, "{name}");
-        match engine.eval_terminal_invention(&query, &db).unwrap() {
+        assert_eq!(
+            report.stabilised_at.is_none(),
+            finite.bounded_approximation,
+            "{name}"
+        );
+        let (outcome, _, _) = terminal_invention(
+            &query,
+            &db,
+            &mut engine.universe().clone(),
+            engine.invention_config(),
+            disarmed,
+            1,
+            false,
+        )
+        .unwrap();
+        let terminal = prepared.execute(&db, Semantics::TerminalInvention).unwrap();
+        match outcome {
             TerminalOutcome::Defined { n, answer } => {
-                let terminal = prepared.execute(&db, Semantics::TerminalInvention).unwrap();
                 assert_eq!(terminal.defined_at, Some(n), "{name}");
                 assert_eq!(terminal.result, answer, "{name}");
+                assert!(!terminal.bounded_approximation, "{name}");
             }
             TerminalOutcome::UndefinedWithinBound { tried } => {
-                let terminal = prepared.execute(&db, Semantics::TerminalInvention).unwrap();
                 assert_eq!(terminal.defined_at, None, "{name}");
                 assert!(terminal.result.is_empty(), "{name}");
+                assert!(terminal.bounded_approximation, "{name}");
                 assert_eq!(terminal.stats.invention_levels as usize, tried, "{name}");
             }
         }

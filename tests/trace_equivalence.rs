@@ -34,15 +34,15 @@ fn query() -> BoxedStrategy<itq_calculus::Query> {
         .boxed()
 }
 
-/// The compiled slot evaluator (default) and the legacy tree walker, both
-/// with a tight invention bound and a capped step budget so pathological
-/// draws die on a classified error instead of burning minutes.  Pinned to
-/// `parallelism(1)`: the span-shape assertions below describe the sequential
-/// compiled tree (per-slot children carrying `draws`), which an
-/// `ITQ_PARALLELISM` override would replace with partition spans.  The
-/// partition grammar is pinned separately in
+/// The compiled slot evaluator (default) on one and on four workers, and the
+/// legacy tree walker, all with a tight invention bound and a capped step
+/// budget so pathological draws die on a classified error instead of burning
+/// minutes.  Worker counts are pinned explicitly, so an `ITQ_PARALLELISM`
+/// override changes none of them: the one-worker compiled tree has per-slot
+/// children carrying `draws`, the four-worker one has partition children.
+/// The partition grammar is pinned separately in
 /// [`recorded_spans_render_with_the_pinned_grammar`].
-fn engines() -> [(&'static str, Engine); 2] {
+fn engines() -> [(&'static str, Engine); 3] {
     let capped = EvalConfig {
         max_steps: 500_000,
         ..EvalConfig::default()
@@ -56,6 +56,14 @@ fn engines() -> [(&'static str, Engine); 2] {
             "compiled",
             Engine::builder()
                 .parallelism(1)
+                .calc_config(capped)
+                .invention_config(invention)
+                .build(),
+        ),
+        (
+            "compiled ×4",
+            Engine::builder()
+                .parallelism(4)
                 .calc_config(capped)
                 .invention_config(invention)
                 .build(),
@@ -135,12 +143,30 @@ fn assert_span_matches_stats(outcome: &QueryOutcome, span: &Span, label: &str) {
     assert_eq!(span.wall_micros, stats.wall_micros, "{label}: root wall");
     match span.name.as_str() {
         "compiled-eval" => {
-            assert_eq!(
-                span.subtree_total("draws"),
-                stats.quantifier_values,
-                "{label}: per-slot draws tile the quantifier total"
-            );
             assert_eq!(span.field("steps"), Some(stats.steps), "{label}");
+            if let Some(partitions) = span.field("partitions") {
+                assert_eq!(partitions, stats.partitions, "{label}");
+                assert_eq!(span.children.len() as u64, partitions, "{label}");
+                let children_total = |field: &str| -> u64 {
+                    span.children.iter().map(|c| c.field(field).unwrap()).sum()
+                };
+                assert_eq!(
+                    children_total("steps"),
+                    stats.steps,
+                    "{label}: partition steps tile the total"
+                );
+                assert_eq!(
+                    children_total("candidates_checked"),
+                    stats.candidates_checked,
+                    "{label}: partition candidates tile the total"
+                );
+            } else {
+                assert_eq!(
+                    span.subtree_total("draws"),
+                    stats.quantifier_values,
+                    "{label}: per-slot draws tile the quantifier total"
+                );
+            }
         }
         "tree-walk" => {
             assert_eq!(span.field("steps"), Some(stats.steps), "{label}");
@@ -169,7 +195,8 @@ fn assert_span_matches_stats(outcome: &QueryOutcome, span: &Span, label: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Collecting vs Noop vs plain on both calculus backends, all semantics.
+    /// Collecting vs Noop vs plain on both calculus backends (the compiled one
+    /// at one and at four workers), all semantics.
     #[test]
     fn tracing_never_changes_calculus_outcomes(q in query(), db in small_db()) {
         for (label, engine) in engines() {
