@@ -23,23 +23,9 @@ use crate::expr::{SelFormula, SelTerm};
 use crate::plan::{JoinStrategy, PhysNode, PhysicalPlan};
 use itq_object::govern::POLL_MASK;
 use itq_object::{Atom, Database, Instance, Interrupt, ValueId, ValueStore};
-use itq_trace::Span;
+use itq_trace::{ExecStats, Span};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
-
-/// Counters accumulated while executing a physical plan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanStats {
-    /// Hash/member index probes plus candidate pairs examined by joins (a
-    /// nested-loop join counts every pair, so this is comparable with the
-    /// |A|·|B| the tuple-at-a-time evaluator always pays).
-    pub join_probes: u64,
-    /// Objects (tuples and sets) constructed by plan operators, before
-    /// deduplication.
-    pub tuples_materialised: u64,
-    /// Distinct values interned in the execution's value store.
-    pub interned_values: u64,
-}
 
 impl PhysicalPlan {
     /// Execute the plan on a database under the given budgets, returning the
@@ -52,10 +38,10 @@ impl PhysicalPlan {
     /// the interner's deterministic byte estimate) as [`AlgError::Resource`].
     ///
     /// The span tree is isomorphic to the plan (one span per operator, named
-    /// by [`PhysNode::label`]) and carries `rows_in` / `rows_out`, the
-    /// operator's *own* `join_probes` / `tuples_materialised` (children
-    /// excluded, so [`Span::subtree_total`] reproduces the [`PlanStats`]
-    /// totals), and inclusive wall time.  Answers, statistics, and errors are
+    /// by [`PhysNode::label`]) and carries `rows_in` (operators with operands
+    /// only) / `rows_out`, the operator's *own* `join_probes` /
+    /// `tuples_materialised` (children excluded, so [`Span::subtree_total`]
+    /// reproduces the [`ExecStats`] totals), and inclusive wall time.  Answers, statistics, and errors are
     /// byte-identical to the untraced path, which pays one branch per
     /// operator.
     ///
@@ -87,7 +73,7 @@ impl PhysicalPlan {
         config: &EvalConfig,
         interrupt: &Interrupt,
         traced: bool,
-    ) -> Result<(Instance, PlanStats, Option<Span>), AlgError> {
+    ) -> Result<(Instance, ExecStats, Option<Span>), AlgError> {
         // Poll once before any work so a deadline of 0 ms (or a pre-set
         // cancel flag) trips even on plans that would finish instantly.
         interrupt.check(0)?;
@@ -97,7 +83,7 @@ impl PhysicalPlan {
             store: ValueStore::new(),
             scans: HashMap::new(),
             consts: HashMap::new(),
-            stats: PlanStats::default(),
+            stats: ExecStats::default(),
             interrupt,
             ticks: 0,
             trace: traced.then(Vec::new),
@@ -122,7 +108,7 @@ struct Ctx<'a> {
     store: ValueStore,
     scans: HashMap<String, Vec<ValueId>>,
     consts: HashMap<Atom, ValueId>,
-    stats: PlanStats,
+    stats: ExecStats,
     /// The execution's resource governor, polled every [`POLL_MASK`]+1 ticks.
     interrupt: &'a Interrupt,
     /// Work units since execution start: one per join probe, per row
@@ -170,37 +156,28 @@ impl Ctx<'_> {
         if self.trace.is_none() {
             return self.eval_node(node);
         }
-        let probes_before = self.stats.join_probes;
-        let mat_before = self.stats.tuples_materialised;
+        let before = self.stats;
         let mark = self.trace.as_ref().map_or(0, Vec::len);
         let start = Instant::now();
         let rows = self.eval_node(node)?;
         let wall_micros = start.elapsed().as_micros() as u64;
         let trace = self.trace.as_mut().expect("tracing checked above");
         let children = trace.split_off(mark);
-        let rows_in: u64 = children
-            .iter()
-            .map(|c| c.field("rows_out").unwrap_or(0))
-            .sum();
-        let child_probes: u64 = children
-            .iter()
-            .map(|c| c.subtree_total("join_probes"))
-            .sum();
-        let child_mat: u64 = children
-            .iter()
-            .map(|c| c.subtree_total("tuples_materialised"))
-            .sum();
+        // A counter's own share: its inclusive delta minus the child subtrees.
+        let own = |key: &str, counter: fn(&ExecStats) -> u64| {
+            let children: u64 = children.iter().map(|c| c.subtree_total(key)).sum();
+            counter(&self.stats) - counter(&before) - children
+        };
         let mut span = Span::new(node.label());
-        span.push_field("rows_in", rows_in);
+        // Leaf operators (scans, singletons) read no operand rows.
+        if !children.is_empty() {
+            let rows_in = children.iter().map(|c| c.field("rows_out").unwrap_or(0));
+            span.push_field("rows_in", rows_in.sum());
+        }
         span.push_field("rows_out", rows.len() as u64);
-        span.push_field(
-            "join_probes",
-            self.stats.join_probes - probes_before - child_probes,
-        );
-        span.push_field(
-            "tuples_materialised",
-            self.stats.tuples_materialised - mat_before - child_mat,
-        );
+        span.push_field("join_probes", own("join_probes", |s| s.join_probes));
+        let materialised = own("tuples_materialised", |s| s.tuples_materialised);
+        span.push_field("tuples_materialised", materialised);
         span.wall_micros = wall_micros;
         span.children = children;
         trace.push(span);
@@ -656,13 +633,13 @@ mod tests {
         physical: &PhysicalPlan,
         db: &Database,
         config: &EvalConfig,
-    ) -> Result<(Instance, PlanStats), AlgError> {
+    ) -> Result<(Instance, ExecStats), AlgError> {
         let (answer, stats, span) = physical.execute(db, config, Interrupt::disarmed(), false)?;
         assert!(span.is_none());
         Ok((answer, stats))
     }
 
-    fn run(expr: &AlgExpr, config: &EvalConfig) -> Result<(Instance, PlanStats), AlgError> {
+    fn run(expr: &AlgExpr, config: &EvalConfig) -> Result<(Instance, ExecStats), AlgError> {
         untraced(&plan(expr, &schema()).unwrap(), &db(), config)
     }
 
@@ -678,6 +655,26 @@ mod tests {
         assert_eq!(stats.join_probes, 3);
         assert_eq!(stats.tuples_materialised, 1);
         assert!(stats.interned_values > 0);
+    }
+
+    #[test]
+    fn leaf_operator_spans_omit_rows_in() {
+        let expr = AlgExpr::pred("PAR")
+            .product(AlgExpr::pred("PAR"))
+            .select(SelFormula::coords_eq(2, 3))
+            .project(vec![1, 4]);
+        let (_, _, trace) = plan(&expr, &schema())
+            .unwrap()
+            .execute(&db(), &EvalConfig::default(), Interrupt::disarmed(), true)
+            .unwrap();
+        let trace = trace.expect("traced runs produce a span");
+        assert_eq!(trace.field("rows_in"), Some(4), "the join keeps its input");
+        assert_eq!(trace.children.len(), 2);
+        for scan in &trace.children {
+            assert!(scan.name.starts_with("scan PAR"), "{}", scan.name);
+            assert_eq!(scan.field("rows_in"), None);
+            assert_eq!(scan.field("rows_out"), Some(2));
+        }
     }
 
     #[test]
@@ -701,7 +698,7 @@ mod tests {
         assert_eq!(trace.field("rows_in"), Some(4));
         assert_eq!(trace.field("rows_out"), Some(1));
         assert_eq!(trace.children[0].field("rows_out"), Some(2));
-        // Exclusive per-operator counters sum back to the PlanStats totals.
+        // Exclusive per-operator counters sum back to the ExecStats totals.
         assert_eq!(trace.subtree_total("join_probes"), stats.join_probes);
         assert_eq!(
             trace.subtree_total("tuples_materialised"),

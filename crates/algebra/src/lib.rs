@@ -44,7 +44,6 @@ pub mod typing;
 pub use classify::{classify_expr, AlgClassification};
 pub use error::AlgError;
 pub use eval::EvalConfig;
-pub use exec::PlanStats;
 pub use expr::{AlgExpr, SelFormula, SelTerm};
 pub use plan::{plan, JoinStrategy, PhysNode, PhysicalPlan};
 pub use to_calculus::to_calculus_query;

@@ -143,7 +143,7 @@ pub enum PhysNode {
 ///
 /// Built once by [`plan`] (typically at `Engine::prepare_algebra` time) and
 /// executed any number of times via
-/// [`PhysicalPlan::execute`](crate::exec::PlanStats).
+/// [`PhysicalPlan::execute`].
 ///
 /// ```
 /// use itq_algebra::plan::{plan, JoinStrategy, PhysNode};

@@ -20,7 +20,7 @@ fn bench_planned_vs_tuple(c: &mut Criterion) {
     let mut group = c.benchmark_group("E14/planned-vs-tuple");
     group.sample_size(10);
     let planner_engine = Engine::new();
-    let tuple_engine = Engine::builder().use_algebra_planner(false).build();
+    let tuple_engine = Engine::builder().backend(Backend::Compiled).build();
     for (name, expr, schema, db) in algebra_exec_workloads() {
         let planned = planner_engine.prepare_algebra(&expr, &schema).unwrap();
         let tuple = tuple_engine.prepare_algebra(&expr, &schema).unwrap();

@@ -49,7 +49,7 @@ fn bench_compiled_vs_legacy(c: &mut Criterion) {
     let mut group = c.benchmark_group("E13/compiled-vs-legacy");
     group.sample_size(10);
     let compiled_engine = Engine::new();
-    let legacy_engine = Engine::builder().use_compiled(false).build();
+    let legacy_engine = Engine::builder().backend(Backend::TreeWalk).build();
     for (name, query, db) in workloads() {
         let compiled = compiled_engine.prepare(&query).unwrap();
         let legacy = legacy_engine.prepare(&query).unwrap();
@@ -77,7 +77,7 @@ fn bench_compiled_invention(c: &mut Criterion) {
     let compiled_engine = Engine::builder().max_invented(1).build();
     let legacy_engine = Engine::builder()
         .max_invented(1)
-        .use_compiled(false)
+        .backend(Backend::TreeWalk)
         .build();
     let query = queries::even_cardinality_query();
     let db = person_database(2);

@@ -27,7 +27,7 @@
 use itq_calculus::eval::EvalConfig;
 use itq_calculus::normal::sf_classification;
 use itq_core::complexity::{growth_table, theorem_4_4_bounds, variable_space_bound};
-use itq_core::engine::{Engine, Semantics};
+use itq_core::engine::{Backend, Engine, Semantics};
 use itq_core::hierarchy::{hierarchy_table, level_zero_one_witnesses};
 use itq_core::incremental::IncrementalDb;
 use itq_core::pipeline::ExecStats;
@@ -222,7 +222,7 @@ fn emit_stats_json(target: &str) {
 /// comparison as a JSON array (`BENCH_compiled_eval.json` in CI).
 fn emit_compiled_json(target: &str) {
     let compiled_engine = Engine::new();
-    let legacy_engine = Engine::builder().use_compiled(false).build();
+    let legacy_engine = Engine::builder().backend(Backend::TreeWalk).build();
     let mut grid = queries::exemplar_workloads();
     grid.push((
         "genealogy/transitive-closure",
@@ -294,7 +294,7 @@ fn emit_compiled_json(target: &str) {
 /// array (`BENCH_algebra_exec.json` in CI).
 fn emit_algebra_json(target: &str) {
     let planner_engine = Engine::new();
-    let tuple_engine = Engine::builder().use_algebra_planner(false).build();
+    let tuple_engine = Engine::builder().backend(Backend::Compiled).build();
     let mut records: Vec<String> = Vec::new();
     for (name, expr, schema, db) in itq_bench::algebra_exec_workloads() {
         let planned = planner_engine

@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn e14_workloads_prepare_and_agree_across_algebra_backends() {
         let planner = Engine::new();
-        let tuple = Engine::builder().use_algebra_planner(false).build();
+        let tuple = Engine::builder().backend(Backend::Compiled).build();
         for (name, expr, schema, db) in algebra_exec_workloads() {
             let planned = planner
                 .prepare_algebra(&expr, &schema)

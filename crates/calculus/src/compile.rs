@@ -25,7 +25,7 @@
 //! statistics, and errors across all three semantics.
 
 use crate::error::CalcError;
-use crate::eval::{EvalConfig, EvalStats, Evaluable, Evaluation};
+use crate::eval::{EvalConfig, Evaluable, Evaluation};
 use crate::formula::Formula;
 use crate::query::Query;
 use crate::term::{Term, Var};
@@ -34,7 +34,7 @@ use itq_object::govern::POLL_MASK;
 use itq_object::pool::{partition_ranges, run_partitions};
 use itq_object::store::{DomainCache, DomainHandle, ValueId, ValueStore};
 use itq_object::{Atom, Database, Instance, Interrupt, PredName, Type, Value};
-use itq_trace::Span;
+use itq_trace::{ExecStats, Span};
 use std::collections::{BTreeSet, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
@@ -220,7 +220,8 @@ impl CompiledQuery {
     /// The cache counters (`domain_cache_hits`/`misses`, `interned_values`)
     /// keep their meaning but not their exact values at `workers > 1`:
     /// per-worker overlays may duplicate inner-quantifier materialisation the
-    /// sequential memo would have shared.
+    /// sequential memo would have shared.  A partitioned run records its
+    /// split in [`ExecStats::partitions`].
     ///
     /// With `traced`, the returned [`Span`] (`compiled-eval`) carries the
     /// whole-evaluation counters as fields.  Its children are one span per
@@ -241,7 +242,7 @@ impl CompiledQuery {
         traced: bool,
     ) -> Result<(Evaluation, Option<Span>), CalcError> {
         let start = traced.then(Instant::now);
-        let (evaluation, span) = if workers > 1 {
+        let (evaluation, children) = if workers > 1 {
             let (root, total) = self.exec(db, extra, config, interrupt, NoTrace)?;
             root.run_partitioned(total, workers, traced)?
         } else if traced {
@@ -249,19 +250,22 @@ impl CompiledQuery {
                 draws: vec![0; self.slot_count],
             };
             let (evaluation, tracer) = self.run_sequential(db, extra, config, interrupt, draws)?;
-            let mut span = eval_span(&evaluation.stats);
-            for (slot, &draws) in tracer.draws.iter().enumerate().skip(1) {
+            let slots = tracer.draws.iter().enumerate().skip(1);
+            let children = slots.map(|(slot, &draws)| {
                 let mut child = Span::new(format!("quantifier slot {slot}"));
                 child.push_field("draws", draws);
-                span.push_child(child);
-            }
-            (evaluation, Some(span))
+                child
+            });
+            (evaluation, Some(children.collect()))
         } else {
             let (evaluation, NoTrace) =
                 self.run_sequential(db, extra, config, interrupt, NoTrace)?;
             (evaluation, None)
         };
-        let span = span.zip(start).map(|(mut span, start)| {
+        let span = children.zip(start).map(|(children, start)| {
+            let mut span = Span::new("compiled-eval");
+            span.push_counters(&evaluation.stats);
+            span.children = children;
             span.wall_micros = start.elapsed().as_micros() as u64;
             span
         });
@@ -310,7 +314,7 @@ impl CompiledQuery {
             env: vec![None; self.slot_count],
             const_ids: Vec::with_capacity(self.consts.len()),
             relations: vec![None; self.preds.len()],
-            stats: EvalStats::default(),
+            stats: ExecStats::default(),
             interrupt,
             tracer,
         };
@@ -349,19 +353,6 @@ impl CompiledQuery {
     }
 }
 
-/// The `compiled-eval` span with the whole-evaluation counters as fields.
-fn eval_span(stats: &EvalStats) -> Span {
-    let mut span = Span::new("compiled-eval");
-    span.push_field("candidates_checked", stats.candidates_checked);
-    span.push_field("quantifier_values", stats.quantifier_values);
-    span.push_field("steps", stats.steps);
-    span.push_field("max_domain_seen", stats.max_domain_seen);
-    span.push_field("domain_cache_hits", stats.domain_cache_hits);
-    span.push_field("domain_cache_misses", stats.domain_cache_misses);
-    span.push_field("interned_values", stats.interned_values);
-    span
-}
-
 /// What one worker hands back to the coordinator.
 struct PartitionOutcome {
     /// Half-open candidate-rank range `[start, end)` this partition evaluated.
@@ -370,7 +361,7 @@ struct PartitionOutcome {
     /// worker-local [`ValueId`]s are meaningless outside their overlay.
     satisfied: Vec<Value>,
     /// The partition's local counters (steps and draws counted from zero).
-    stats: EvalStats,
+    stats: ExecStats,
     error: Option<CalcError>,
     /// Wall-clock this partition's worker spent.  Partitions overlap in time,
     /// so these are never summed into an execution wall-clock.
@@ -594,7 +585,7 @@ struct Exec<'a, T: QuantTracer> {
     /// missing relation errors at the same evaluation point as the tree
     /// walker (which looks relations up per `P(t)` node).
     relations: Vec<Option<HashSet<ValueId>>>,
-    stats: EvalStats,
+    stats: ExecStats,
     /// The execution's resource governor.  Polled every [`POLL_MASK`]+1 steps
     /// — the same cadence as the tree walker, whose step counter this
     /// evaluator replicates bit for bit, so the two backends' poll points
@@ -608,12 +599,13 @@ impl<'a> Exec<'a, NoTrace> {
     /// The n-partition case: pre-materialise every candidate rank into the
     /// root, freeze it, and evaluate contiguous rank chunks on a scoped
     /// worker pool, one [`ValueStore`]/[`DomainCache`] overlay per worker.
+    /// With `traced`, also returns one span per partition.
     fn run_partitioned(
         mut self,
         total: u64,
         workers: usize,
         traced: bool,
-    ) -> Result<(Evaluation, Option<Span>), CalcError> {
+    ) -> Result<(Evaluation, Option<Vec<Span>>), CalcError> {
         let candidate_handle = self.domain_handles[0];
         for rank in 0..total {
             self.domains
@@ -676,7 +668,10 @@ impl<'a> Exec<'a, NoTrace> {
             }
         }
 
-        let mut stats = self.stats;
+        let mut stats = ExecStats {
+            partitions: outcomes.len() as u64,
+            ..self.stats
+        };
         let mut values: Vec<Value> = Vec::new();
         let mut children = Vec::new();
         for (i, outcome) in outcomes.into_iter().enumerate() {
@@ -685,25 +680,17 @@ impl<'a> Exec<'a, NoTrace> {
                 let mut child = Span::new(format!("partition {i}"));
                 child.push_field("rank_start", outcome.ranks.0);
                 child.push_field("rank_end", outcome.ranks.1);
-                child.push_field("candidates_checked", outcome.stats.candidates_checked);
-                child.push_field("steps", outcome.stats.steps);
-                child.push_field("quantifier_values", outcome.stats.quantifier_values);
+                child.push_counters(&outcome.stats);
                 child.wall_micros = outcome.wall_micros;
                 children.push(child);
             }
             values.extend(outcome.satisfied);
         }
-        let span = traced.then(|| {
-            let mut span = eval_span(&stats);
-            span.push_field("partitions", children.len() as u64);
-            span.children = children;
-            span
-        });
         let evaluation = Evaluation {
             result: Instance::from_values(values),
             stats,
         };
-        Ok((evaluation, span))
+        Ok((evaluation, traced.then_some(children)))
     }
 
     /// A worker's state over overlays of the root's frozen store and domain
@@ -720,7 +707,7 @@ impl<'a> Exec<'a, NoTrace> {
             env: vec![None; self.env.len()],
             const_ids: self.const_ids.clone(),
             relations: vec![None; self.relations.len()],
-            stats: EvalStats::default(),
+            stats: ExecStats::default(),
             interrupt: self.interrupt,
             tracer: NoTrace,
         }

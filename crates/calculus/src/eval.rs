@@ -7,7 +7,7 @@
 //! `Y`.  Quantifier domains are constructive domains `cons_X(T)` and therefore grow
 //! hyper-exponentially with the set-height of `T` — exactly the phenomenon the
 //! paper analyses — so the evaluator carries an explicit [`EvalConfig`] budget and
-//! reports [`EvalStats`] so the blow-up can be measured rather than merely
+//! reports [`ExecStats`] so the blow-up can be measured rather than merely
 //! endured.
 
 use crate::error::CalcError;
@@ -17,6 +17,7 @@ use crate::term::{Term, Var};
 use itq_object::cons::{cons_cardinality, ConsIter};
 use itq_object::govern::POLL_MASK;
 use itq_object::{Atom, Database, Instance, Interrupt, Value};
+use itq_trace::ExecStats;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -66,73 +67,13 @@ impl EvalConfig {
     }
 }
 
-/// Counters accumulated during one evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvalStats {
-    /// Number of formula nodes evaluated.
-    pub steps: u64,
-    /// Number of values drawn from quantifier domains.
-    pub quantifier_values: u64,
-    /// Number of candidate output objects tested.
-    pub candidates_checked: u64,
-    /// The largest single quantifier domain encountered.
-    pub max_domain_seen: u64,
-    /// Compiled backend only: constructive-domain lookups answered from the
-    /// per-execution [`DomainCache`](itq_object::DomainCache) memo (always 0
-    /// for the tree walker, which re-enumerates domains lazily).
-    pub domain_cache_hits: u64,
-    /// Compiled backend only: constructive-domain lookups that had to
-    /// materialise a new domain (always 0 for the tree walker).
-    pub domain_cache_misses: u64,
-    /// Compiled backend only: number of distinct values interned in the
-    /// execution's [`ValueStore`](itq_object::ValueStore) (always 0 for the
-    /// tree walker, which never interns).
-    pub interned_values: u64,
-}
-
-impl EvalStats {
-    /// Fold another evaluation's counters into this one: additive counters are
-    /// summed (saturating, so merging many partitions or levels can never
-    /// wrap), `max_domain_seen` takes the maximum.  Used by the invention
-    /// semantics, which run one evaluation per invention level, and by the
-    /// partitioned evaluator, which merges one block per partition.
-    ///
-    /// ```
-    /// use itq_calculus::eval::EvalStats;
-    /// let mut total = EvalStats { steps: 10, max_domain_seen: 4, ..Default::default() };
-    /// total.merge(&EvalStats { steps: 5, max_domain_seen: 9, ..Default::default() });
-    /// assert_eq!(total.steps, 15);
-    /// assert_eq!(total.max_domain_seen, 9);
-    /// let mut near_max = EvalStats { steps: u64::MAX - 1, ..Default::default() };
-    /// near_max.merge(&EvalStats { steps: 5, ..Default::default() });
-    /// assert_eq!(near_max.steps, u64::MAX); // saturates instead of wrapping
-    /// ```
-    pub fn merge(&mut self, other: &EvalStats) {
-        self.steps = self.steps.saturating_add(other.steps);
-        self.quantifier_values = self
-            .quantifier_values
-            .saturating_add(other.quantifier_values);
-        self.candidates_checked = self
-            .candidates_checked
-            .saturating_add(other.candidates_checked);
-        self.max_domain_seen = self.max_domain_seen.max(other.max_domain_seen);
-        self.domain_cache_hits = self
-            .domain_cache_hits
-            .saturating_add(other.domain_cache_hits);
-        self.domain_cache_misses = self
-            .domain_cache_misses
-            .saturating_add(other.domain_cache_misses);
-        self.interned_values = self.interned_values.saturating_add(other.interned_values);
-    }
-}
-
 /// The result of evaluating a query: the answer instance plus statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Evaluation {
     /// The answer, an instance of the query's target type.
     pub result: Instance,
     /// Evaluation statistics.
-    pub stats: EvalStats,
+    pub stats: ExecStats,
 }
 
 /// A value assignment ρ from variables to objects.
@@ -142,7 +83,7 @@ struct Evaluator<'a> {
     db: &'a Database,
     atoms: Vec<Atom>,
     config: &'a EvalConfig,
-    stats: EvalStats,
+    stats: ExecStats,
     /// The execution's resource governor.  Polled every [`POLL_MASK`]+1 steps
     /// so the poll points coincide with the compiled backend's (both count one
     /// step per formula node).  The tree walker never interns, so its memory
@@ -366,7 +307,7 @@ pub fn evaluate(
         db,
         atoms: atoms.clone(),
         config,
-        stats: EvalStats::default(),
+        stats: ExecStats::default(),
         interrupt,
     };
 
@@ -452,7 +393,7 @@ pub fn satisfies_sentence(
         db,
         atoms,
         config,
-        stats: EvalStats::default(),
+        stats: ExecStats::default(),
         interrupt: Interrupt::disarmed(),
     };
     let mut rho = BTreeMap::new();

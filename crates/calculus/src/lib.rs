@@ -73,7 +73,7 @@ pub mod typing;
 pub use classify::{CalcClass, QueryClassification};
 pub use compile::{compile, CompiledQuery};
 pub use error::CalcError;
-pub use eval::{EvalConfig, EvalStats, Evaluable, Evaluation};
+pub use eval::{EvalConfig, Evaluable, Evaluation};
 pub use formula::Formula;
 pub use query::Query;
 pub use term::{Term, Var};

@@ -73,6 +73,32 @@ impl std::str::FromStr for Semantics {
     }
 }
 
+/// Which backends execute prepared handles.  Each variant pairs an algebra
+/// path (for the limited interpretation of algebra handles) with a calculus
+/// path (for calculus handles and for every invention level).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Backend {
+    /// The default: algebra handles run the set-at-a-time physical plan built
+    /// at prepare time (joins extracted, selections pushed down, projections
+    /// fused — see [`mod@itq_algebra::plan`]); calculus runs the compiled
+    /// slot-based evaluator with interned values and memoized constructive
+    /// domains.
+    #[default]
+    Planned,
+    /// Tuple-at-a-time algebra with compiled slots: the planner ablation
+    /// (E14), kept so the planner's speedup is measured rather than taken on
+    /// faith.
+    Compiled,
+    /// Tuple-at-a-time algebra with the legacy tree-walking evaluator: the
+    /// compiled-evaluator ablation (E13) and the differential oracle.
+    TreeWalk,
+}
+
+impl Backend {
+    /// All backends, fastest first — handy for differential sweeps.
+    pub const ALL: [Backend; 3] = [Backend::Planned, Backend::Compiled, Backend::TreeWalk];
+}
+
 /// Errors surfaced by the engine.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
@@ -220,22 +246,15 @@ pub struct Engine {
     pub(crate) alg_config: AlgConfig,
     /// Budgets for the invention semantics.
     pub(crate) invention_config: InventionConfig,
-    /// When true (the default), `Prepared::execute` runs the compiled
-    /// slot-based evaluator; when false it runs the legacy tree walker (the
-    /// ablation toggled by `EngineBuilder::use_compiled`).
-    pub(crate) use_compiled: bool,
-    /// When true (the default), prepared algebra handles execute their
-    /// limited interpretation through the set-at-a-time physical plan; when
-    /// false they run the tuple-at-a-time evaluator (the ablation toggled by
-    /// `EngineBuilder::use_algebra_planner`).
-    pub(crate) use_algebra_planner: bool,
+    /// The backends prepared handles execute through.
+    pub(crate) backend: Backend,
     /// Resource-governance knobs (deadline, memory ceiling, cancellation,
     /// fault injection); disarmed by default.
     pub(crate) governor: GovernorConfig,
     /// Worker count for in-query parallelism: the compiled evaluator's
-    /// candidate loop partitions across this many scoped threads.  `1` (the default) is the sequential
-    /// ablation; the `ITQ_PARALLELISM` environment variable overrides the
-    /// default at engine construction.
+    /// candidate loop partitions across this many scoped threads.  `1` (the
+    /// default) is the sequential ablation; the `ITQ_PARALLELISM` environment
+    /// variable overrides the default at engine construction.
     pub(crate) parallelism: usize,
     pub(crate) universe: Universe,
 }
@@ -253,8 +272,7 @@ impl Engine {
             calc_config: EvalConfig::default(),
             alg_config: AlgConfig::default(),
             invention_config: InventionConfig::default(),
-            use_compiled: true,
-            use_algebra_planner: true,
+            backend: Backend::default(),
             governor: GovernorConfig::default(),
             parallelism: crate::pipeline::default_parallelism(),
             universe: Universe::new(),
@@ -289,19 +307,9 @@ impl Engine {
         &self.invention_config
     }
 
-    /// True if handles prepared by this engine execute through the compiled
-    /// slot-based evaluator (the default); false selects the legacy
-    /// tree-walking evaluator, kept for ablation benchmarks.
-    pub fn use_compiled(&self) -> bool {
-        self.use_compiled
-    }
-
-    /// True if algebra handles prepared by this engine execute their limited
-    /// interpretation through the set-at-a-time physical plan (the default);
-    /// false selects the tuple-at-a-time evaluator, kept for ablation
-    /// benchmarks (E14) and the backend differential suite.
-    pub fn use_algebra_planner(&self) -> bool {
-        self.use_algebra_planner
+    /// The backends handles prepared by this engine execute through.
+    pub fn backend(&self) -> Backend {
+        self.backend
     }
 
     /// The worker count handles prepared by this engine partition in-query

@@ -62,7 +62,7 @@ pub mod report;
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
-    pub use crate::engine::{Engine, EngineError, GovernorConfig, Semantics};
+    pub use crate::engine::{Backend, Engine, EngineError, GovernorConfig, Semantics};
     pub use crate::incremental::{
         IncrementalDb, IncrementalError, MutationOutcome, RefreshPath, ViewRefresh, WatchedView,
     };

@@ -7,7 +7,7 @@
 //! semantics of Section 6.  This module gives that split an API:
 //!
 //! * [`EngineBuilder`] configures an [`Engine`] once: budgets, invention
-//!   bounds, universe seeding, feature toggles;
+//!   bounds, universe seeding, the backend;
 //! * [`Engine::prepare`] / [`Engine::prepare_algebra`] do *all* static work
 //!   exactly once and cache the derived artifacts in a [`Prepared`] handle;
 //! * [`Prepared::execute`] runs the handle on a database under any
@@ -35,17 +35,34 @@
 //! }
 //! ```
 
-use crate::engine::{Engine, EngineError, GovernorConfig, Semantics};
+use crate::engine::{Backend, Engine, EngineError, GovernorConfig, Semantics};
 use itq_algebra::{to_calculus_query, AlgExpr, EvalConfig as AlgConfig, PhysicalPlan};
-use itq_calculus::eval::{EvalConfig, EvalStats, Evaluable};
+use itq_calculus::eval::{EvalConfig, Evaluable};
 use itq_calculus::normal::{sf_classification, to_prenex, PrenexForm, SfClassification};
 use itq_calculus::{CompiledQuery, Query, QueryClassification};
 use itq_invention::{finite_invention, terminal_invention, InventionConfig, TerminalOutcome};
-use itq_object::pool::partition_ranges;
 use itq_object::{CancelFlag, Database, Instance, Interrupt, Schema, TripKind, Universe};
 use itq_trace::{Span, TraceSink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
+
+/// The counters and timings of one [`Prepared::execute`] call — the dynamic
+/// half of the pipeline.  The struct lives beside the span type in
+/// [`itq_trace`], so every backend fills it directly.
+///
+/// ```
+/// use itq_core::prelude::*;
+/// use itq_core::queries;
+///
+/// let engine = Engine::new();
+/// let prepared = engine.prepare(&queries::grandparent_query()).unwrap();
+/// let db = queries::parent_database(&[(Atom(0), Atom(1)), (Atom(1), Atom(2))]);
+/// let outcome = prepared.execute(&db, Semantics::Limited).unwrap();
+/// assert!(outcome.stats.steps > 0);
+/// assert!(outcome.stats.candidates_checked >= 9); // 3 atoms → 9 candidate pairs
+/// assert_eq!(outcome.stats.invention_levels, 0); // no invention under `limited`
+/// ```
+pub use itq_trace::ExecStats;
 
 /// The default in-query worker count: `1` (sequential) unless the
 /// `ITQ_PARALLELISM` environment variable names a larger count.  Read once
@@ -60,7 +77,7 @@ pub(crate) fn default_parallelism() -> usize {
 }
 
 /// Configures and builds an [`Engine`]: evaluation budgets, invention bounds,
-/// universe seeding, and feature toggles.
+/// universe seeding, and the backend.
 ///
 /// ```
 /// use itq_core::prelude::*;
@@ -74,31 +91,10 @@ pub(crate) fn default_parallelism() -> usize {
 /// assert_eq!(engine.invention_config().max_invented, 3);
 /// assert_eq!(engine.universe().len(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
-    calc_config: EvalConfig,
-    alg_config: AlgConfig,
-    invention_config: InventionConfig,
-    use_compiled: bool,
-    use_algebra_planner: bool,
-    universe: Universe,
-    governor: GovernorConfig,
-    parallelism: usize,
-}
-
-impl Default for EngineBuilder {
-    fn default() -> Self {
-        EngineBuilder {
-            calc_config: EvalConfig::default(),
-            alg_config: AlgConfig::default(),
-            invention_config: InventionConfig::default(),
-            use_compiled: true,
-            use_algebra_planner: true,
-            universe: Universe::default(),
-            governor: GovernorConfig::default(),
-            parallelism: default_parallelism(),
-        }
-    }
+    /// The engine under construction, returned by [`EngineBuilder::build`].
+    engine: Engine,
 }
 
 impl EngineBuilder {
@@ -121,7 +117,7 @@ impl EngineBuilder {
     /// assert_eq!(engine.calc_config().max_steps, EvalConfig::tiny().max_steps);
     /// ```
     pub fn calc_config(mut self, config: EvalConfig) -> EngineBuilder {
-        self.calc_config = config;
+        self.engine.calc_config = config;
         self
     }
 
@@ -134,7 +130,7 @@ impl EngineBuilder {
     /// assert_eq!(engine.alg_config(), &AlgConfig::default());
     /// ```
     pub fn alg_config(mut self, config: AlgConfig) -> EngineBuilder {
-        self.alg_config = config;
+        self.engine.alg_config = config;
         self
     }
 
@@ -147,7 +143,7 @@ impl EngineBuilder {
     /// assert_eq!(engine.invention_config().max_invented, 1);
     /// ```
     pub fn invention_config(mut self, config: InventionConfig) -> EngineBuilder {
-        self.invention_config = config;
+        self.engine.invention_config = config;
         self
     }
 
@@ -160,7 +156,7 @@ impl EngineBuilder {
     /// assert_eq!(engine.invention_config().max_invented, 7);
     /// ```
     pub fn max_invented(mut self, levels: usize) -> EngineBuilder {
-        self.invention_config.max_invented = levels;
+        self.engine.invention_config.max_invented = levels;
         self
     }
 
@@ -175,44 +171,26 @@ impl EngineBuilder {
     /// assert!(!engine.invention_config().eval.short_circuit);
     /// ```
     pub fn short_circuit(mut self, enabled: bool) -> EngineBuilder {
-        self.calc_config.short_circuit = enabled;
-        self.invention_config.eval.short_circuit = enabled;
+        self.engine.calc_config.short_circuit = enabled;
+        self.engine.invention_config.eval.short_circuit = enabled;
         self
     }
 
-    /// Select the evaluation backend for prepared handles: `true` (the
-    /// default) runs the compiled slot-based evaluator with interned values
-    /// and memoized constructive domains; `false` runs the legacy
-    /// tree-walking evaluator — kept so the compiled/legacy speedup can be
-    /// measured as an ablation rather than taken on faith.
+    /// Select the backends prepared handles execute through (see
+    /// [`Backend`]): [`Backend::Planned`] by default, with
+    /// [`Backend::Compiled`] and [`Backend::TreeWalk`] kept so the planner's
+    /// and the compiled evaluator's speedups can be measured as ablations
+    /// (E13, E14) and differential-tested (`tests/backend_differential.rs`).
     ///
     /// ```
     /// use itq_core::prelude::*;
-    /// assert!(Engine::builder().build().use_compiled());
-    /// let legacy = Engine::builder().use_compiled(false).build();
-    /// assert!(!legacy.use_compiled());
+    /// assert_eq!(Engine::builder().build().backend(), Backend::Planned);
+    /// for backend in Backend::ALL {
+    ///     assert_eq!(Engine::builder().backend(backend).build().backend(), backend);
+    /// }
     /// ```
-    pub fn use_compiled(mut self, enabled: bool) -> EngineBuilder {
-        self.use_compiled = enabled;
-        self
-    }
-
-    /// Select the execution path for prepared *algebra* handles under the
-    /// limited interpretation: `true` (the default) runs the set-at-a-time
-    /// physical plan built at prepare time (joins extracted, selections
-    /// pushed down, projections fused — see [`mod@itq_algebra::plan`]); `false`
-    /// runs the legacy tuple-at-a-time evaluator — kept so the planner's
-    /// speedup can be measured as an ablation (E14) and differential-tested
-    /// (`tests/backend_differential.rs`).
-    ///
-    /// ```
-    /// use itq_core::prelude::*;
-    /// assert!(Engine::builder().build().use_algebra_planner());
-    /// let tuple_at_a_time = Engine::builder().use_algebra_planner(false).build();
-    /// assert!(!tuple_at_a_time.use_algebra_planner());
-    /// ```
-    pub fn use_algebra_planner(mut self, enabled: bool) -> EngineBuilder {
-        self.use_algebra_planner = enabled;
+    pub fn backend(mut self, backend: Backend) -> EngineBuilder {
+        self.engine.backend = backend;
         self
     }
 
@@ -225,7 +203,7 @@ impl EngineBuilder {
     /// assert_eq!(engine.universe().len(), 3);
     /// ```
     pub fn seed_atoms<'a, I: IntoIterator<Item = &'a str>>(mut self, names: I) -> EngineBuilder {
-        self.universe.atoms(names);
+        self.engine.universe.atoms(names);
         self
     }
 
@@ -240,7 +218,7 @@ impl EngineBuilder {
     /// assert_eq!(engine.governor().memory_ceiling, Some(1 << 20));
     /// ```
     pub fn governor(mut self, governor: GovernorConfig) -> EngineBuilder {
-        self.governor = governor;
+        self.engine.governor = governor;
         self
     }
 
@@ -255,7 +233,7 @@ impl EngineBuilder {
     /// assert_eq!(engine.governor().deadline_millis, Some(250));
     /// ```
     pub fn deadline_millis(mut self, millis: u64) -> EngineBuilder {
-        self.governor.deadline_millis = Some(millis);
+        self.engine.governor.deadline_millis = Some(millis);
         self
     }
 
@@ -270,7 +248,7 @@ impl EngineBuilder {
     /// assert_eq!(engine.governor().memory_ceiling, Some(64 * 1024));
     /// ```
     pub fn memory_ceiling(mut self, bytes: u64) -> EngineBuilder {
-        self.governor.memory_ceiling = Some(bytes);
+        self.engine.governor.memory_ceiling = Some(bytes);
         self
     }
 
@@ -284,7 +262,7 @@ impl EngineBuilder {
     /// assert!(engine.governor().cancel.is_some());
     /// ```
     pub fn cancel_flag(mut self, flag: CancelFlag) -> EngineBuilder {
-        self.governor.cancel = Some(flag);
+        self.engine.governor.cancel = Some(flag);
         self
     }
 
@@ -292,7 +270,7 @@ impl EngineBuilder {
     /// the given behaviour.  Poll counts are deterministic, so the trip point
     /// is exactly reproducible — this is the harness's injection seam.
     pub fn trip_interrupt_after(mut self, nth: u64, kind: TripKind) -> EngineBuilder {
-        self.governor.trip_after = Some((nth, kind));
+        self.engine.governor.trip_after = Some((nth, kind));
         self
     }
 
@@ -302,18 +280,19 @@ impl EngineBuilder {
     /// failing.  Off by default, preserving the strict "error or exact
     /// answer" invariant.
     pub fn degrade_on_resource(mut self, enabled: bool) -> EngineBuilder {
-        self.governor.degrade_on_resource = enabled;
+        self.engine.governor.degrade_on_resource = enabled;
         self
     }
 
     /// Set the in-query worker count: the compiled evaluator partitions its
     /// candidate loop (under every semantics) across this many scoped
     /// threads; the other backends run sequentially at every setting.  `1`
-    /// (the default) is the sequential ablation — answers, governor error messages, and the deterministic counters of
-    /// the partitioned paths are byte-identical at every setting, so this
-    /// knob trades wall-clock only.  The default honours the
-    /// `ITQ_PARALLELISM` environment variable, letting whole test/benchmark
-    /// sweeps re-run parallel without code changes.
+    /// (the default) is the sequential ablation — answers, governor error
+    /// messages, and the deterministic counters of the partitioned paths are
+    /// byte-identical at every setting, so this knob trades wall-clock only.
+    /// The default honours the `ITQ_PARALLELISM` environment variable,
+    /// letting whole test/benchmark sweeps re-run parallel without code
+    /// changes.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -322,7 +301,7 @@ impl EngineBuilder {
     /// assert_eq!(Engine::builder().parallelism(0).build().parallelism(), 1);
     /// ```
     pub fn parallelism(mut self, workers: usize) -> EngineBuilder {
-        self.parallelism = workers.max(1);
+        self.engine.parallelism = workers.max(1);
         self
     }
 
@@ -337,7 +316,7 @@ impl EngineBuilder {
     /// assert!(engine.universe().lookup("Tom").is_some());
     /// ```
     pub fn universe(mut self, universe: Universe) -> EngineBuilder {
-        self.universe = universe;
+        self.engine.universe = universe;
         self
     }
 
@@ -349,16 +328,7 @@ impl EngineBuilder {
     /// assert_eq!(engine.calc_config(), &EvalConfig::default());
     /// ```
     pub fn build(self) -> Engine {
-        Engine {
-            calc_config: self.calc_config,
-            alg_config: self.alg_config,
-            invention_config: self.invention_config,
-            use_compiled: self.use_compiled,
-            use_algebra_planner: self.use_algebra_planner,
-            universe: self.universe,
-            governor: self.governor,
-            parallelism: self.parallelism,
-        }
+        self.engine
     }
 }
 
@@ -431,161 +401,6 @@ impl PrepareStats {
             root.push_child(child);
         }
         root
-    }
-}
-
-/// Counters and timings accumulated while executing a prepared query — the
-/// dynamic half of the pipeline, designed to be serialized (see
-/// [`ExecStats::to_json`]) so benchmark trajectories can be recorded across
-/// revisions.
-///
-/// ```
-/// use itq_core::prelude::*;
-/// use itq_core::queries;
-///
-/// let engine = Engine::new();
-/// let prepared = engine.prepare(&queries::grandparent_query()).unwrap();
-/// let db = queries::parent_database(&[(Atom(0), Atom(1)), (Atom(1), Atom(2))]);
-/// let outcome = prepared.execute(&db, Semantics::Limited).unwrap();
-/// assert!(outcome.stats.steps > 0);
-/// assert!(outcome.stats.candidates_checked >= 9); // 3 atoms → 9 candidate pairs
-/// assert_eq!(outcome.stats.invention_levels, 0); // no invention under `limited`
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Number of formula nodes evaluated.
-    pub steps: u64,
-    /// Number of values drawn from quantifier domains (quantifier expansions).
-    pub quantifier_values: u64,
-    /// Number of candidate output objects tested (tuples scanned at the top
-    /// level of the evaluation).
-    pub candidates_checked: u64,
-    /// The largest single quantifier domain encountered.
-    pub max_domain_seen: u64,
-    /// Number of invention levels `Q|_n[d]` explored (0 under the limited
-    /// interpretation, which never invents).
-    pub invention_levels: u64,
-    /// Compiled backend only: constructive-domain lookups answered from the
-    /// per-execution memo (0 for the legacy tree walker, which re-enumerates
-    /// every domain lazily).
-    pub domain_cache_hits: u64,
-    /// Compiled backend only: constructive-domain lookups that had to
-    /// materialise a new domain (0 for the legacy tree walker).
-    pub domain_cache_misses: u64,
-    /// Compiled and planned-algebra backends: distinct values interned in the
-    /// execution's value store (0 for the tree walker and the tuple-at-a-time
-    /// algebra evaluator, which never intern).
-    pub interned_values: u64,
-    /// Planned-algebra backend only: hash/member index probes plus candidate
-    /// pairs examined by join operators (0 for every other backend).
-    /// Comparable with the |A|·|B| pairs a tuple-at-a-time product walks.
-    pub join_probes: u64,
-    /// Planned-algebra backend only: objects constructed by plan operators
-    /// before deduplication (0 for every other backend).
-    pub tuples_materialised: u64,
-    /// Number of candidate-rank partitions the compiled calculus split its
-    /// limited-interpretation candidate loop into.  `0` when the execution
-    /// ran sequentially ([`EngineBuilder::parallelism`] at its default of 1,
-    /// an empty candidate domain, or any other backend or semantics).
-    /// Deterministic for a fixed engine configuration.
-    pub partitions: u64,
-    /// Number of times the execution polled its armed resource governor
-    /// (deadline / cancellation / memory-ceiling checks).  0 whenever the
-    /// governor is disarmed — the off path never counts polls.  Like
-    /// `wall_micros` this depends on the governor configuration rather than
-    /// on (query, database, semantics, backend) alone, so
-    /// [`ExecStats::deterministic`] zeroes it.
-    pub interrupt_polls: u64,
-    /// Wall-clock time of the execute call, in microseconds.
-    pub wall_micros: u64,
-}
-
-impl ExecStats {
-    /// Fold calculus-evaluator counters plus an invention-level count into an
-    /// `ExecStats` block (wall time is stamped by the caller).
-    fn from_eval(stats: EvalStats, invention_levels: u64) -> ExecStats {
-        ExecStats {
-            steps: stats.steps,
-            quantifier_values: stats.quantifier_values,
-            candidates_checked: stats.candidates_checked,
-            max_domain_seen: stats.max_domain_seen,
-            invention_levels,
-            domain_cache_hits: stats.domain_cache_hits,
-            domain_cache_misses: stats.domain_cache_misses,
-            interned_values: stats.interned_values,
-            join_probes: 0,
-            tuples_materialised: 0,
-            partitions: 0,
-            interrupt_polls: 0,
-            wall_micros: 0,
-        }
-    }
-
-    /// Fold planned-algebra executor counters into an `ExecStats` block (wall
-    /// time is stamped by the caller; the calculus counters stay zero — no
-    /// formula is evaluated on this path).
-    fn from_plan(stats: itq_algebra::PlanStats) -> ExecStats {
-        ExecStats {
-            interned_values: stats.interned_values,
-            join_probes: stats.join_probes,
-            tuples_materialised: stats.tuples_materialised,
-            ..ExecStats::default()
-        }
-    }
-
-    /// The statistics with the wall-clock field zeroed.  Every remaining
-    /// counter is a deterministic function of (query, database, semantics,
-    /// backend), so two executions can be compared with `==` without tripping
-    /// over timing noise — `ExecStats` derives `Eq` *including*
-    /// `wall_micros`, which is almost never what a differential test wants.
-    /// (`interrupt_polls` is zeroed too: it depends on the governor
-    /// configuration, not on the query/database/semantics/backend tuple.)
-    ///
-    /// ```
-    /// use itq_core::pipeline::ExecStats;
-    /// let a = ExecStats { steps: 7, wall_micros: 12, ..Default::default() };
-    /// let b = ExecStats { steps: 7, wall_micros: 99, interrupt_polls: 3, ..Default::default() };
-    /// assert_ne!(a, b); // timing noise trips whole-struct equality...
-    /// assert_eq!(a.deterministic(), b.deterministic()); // ...but not this.
-    /// ```
-    pub fn deterministic(&self) -> ExecStats {
-        ExecStats {
-            interrupt_polls: 0,
-            wall_micros: 0,
-            ..*self
-        }
-    }
-
-    /// Serialize as a flat JSON object (no external dependencies), in the
-    /// field order of the struct.
-    ///
-    /// ```
-    /// use itq_core::pipeline::ExecStats;
-    /// let json = ExecStats { steps: 2, ..Default::default() }.to_json();
-    /// assert!(json.starts_with("{\"steps\":2,"));
-    /// assert!(json.ends_with("}"));
-    /// ```
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"steps\":{},\"quantifier_values\":{},\"candidates_checked\":{},\
-             \"max_domain_seen\":{},\"invention_levels\":{},\"domain_cache_hits\":{},\
-             \"domain_cache_misses\":{},\"interned_values\":{},\"join_probes\":{},\
-             \"tuples_materialised\":{},\"partitions\":{},\"interrupt_polls\":{},\
-             \"wall_micros\":{}}}",
-            self.steps,
-            self.quantifier_values,
-            self.candidates_checked,
-            self.max_domain_seen,
-            self.invention_levels,
-            self.domain_cache_hits,
-            self.domain_cache_misses,
-            self.interned_values,
-            self.join_probes,
-            self.tuples_materialised,
-            self.partitions,
-            self.interrupt_polls,
-            self.wall_micros,
-        )
     }
 }
 
@@ -680,17 +495,11 @@ pub struct Prepared {
     classification: QueryClassification,
     sf: SfClassification,
     prenex: PrenexForm,
-    use_compiled: bool,
-    use_algebra_planner: bool,
-    calc_config: EvalConfig,
-    alg_config: AlgConfig,
-    invention_config: InventionConfig,
-    /// Resource-governance snapshot: each execution arms a fresh
-    /// [`Interrupt`] from it (or threads the shared disarmed one).
-    governor: GovernorConfig,
-    /// In-query worker count snapshot (see [`EngineBuilder::parallelism`]).
-    parallelism: usize,
-    universe_seed: Universe,
+    /// The engine configuration snapshotted at prepare time: budgets,
+    /// backend, governor, worker count and universe.  Each execution arms a
+    /// fresh [`Interrupt`] from its governor (or threads the shared disarmed
+    /// one) and draws invented atoms from a scratch clone of its universe.
+    engine: Engine,
     /// The static-analysis report computed at prepare time (unused variables,
     /// foldable subformulas, budget forecasts, stratum report — see
     /// [`itq_analyze`]).
@@ -813,14 +622,7 @@ impl Engine {
             classification,
             sf,
             prenex,
-            use_compiled: self.use_compiled,
-            use_algebra_planner: self.use_algebra_planner,
-            calc_config: self.calc_config,
-            alg_config: self.alg_config,
-            invention_config: self.invention_config,
-            governor: self.governor.clone(),
-            parallelism: self.parallelism,
-            universe_seed: self.universe.clone(),
+            engine: self.clone(),
             diagnostics,
         }
     }
@@ -883,13 +685,14 @@ impl Prepared {
     /// keep *failing* exactly as a from-scratch execution would, so its
     /// watched views always re-execute.
     pub(crate) fn budgets_are_default(&self) -> bool {
-        self.calc_config == EvalConfig::default() && self.alg_config == AlgConfig::default()
+        self.engine.calc_config == EvalConfig::default()
+            && self.engine.alg_config == AlgConfig::default()
     }
 
     /// The resource-governance snapshot this handle executes under (taken
     /// from the engine at prepare time, exactly like the budgets).
     pub fn governor(&self) -> &GovernorConfig {
-        &self.governor
+        &self.engine.governor
     }
 
     /// A copy of this handle executing under a different resource-governance
@@ -915,10 +718,9 @@ impl Prepared {
     /// assert_eq!(shared.execute(&db, Semantics::Limited).unwrap().result.len(), 1);
     /// ```
     pub fn with_governor(&self, governor: GovernorConfig) -> Prepared {
-        Prepared {
-            governor,
-            ..self.clone()
-        }
+        let mut prepared = self.clone();
+        prepared.engine.governor = governor;
+        prepared
     }
 
     /// A copy of this handle executing with a different in-query worker
@@ -926,15 +728,14 @@ impl Prepared {
     /// `parallel_scaling` benchmark) varies the thread count without paying
     /// prepare time per point.
     pub fn with_parallelism(&self, workers: usize) -> Prepared {
-        Prepared {
-            parallelism: workers.max(1),
-            ..self.clone()
-        }
+        let mut prepared = self.clone();
+        prepared.engine.parallelism = workers.max(1);
+        prepared
     }
 
     /// The in-query worker count snapshotted into this handle.
     pub fn parallelism(&self) -> usize {
-        self.parallelism
+        self.engine.parallelism
     }
 
     /// The worker count an execution actually partitions across.  Fault
@@ -943,10 +744,10 @@ impl Prepared {
     /// deterministic trip point requires the sequential path — injection
     /// forces 1 worker.
     fn effective_workers(&self) -> usize {
-        if self.governor.trip_after.is_some() {
+        if self.engine.governor.trip_after.is_some() {
             1
         } else {
-            self.parallelism.max(1)
+            self.engine.parallelism.max(1)
         }
     }
 
@@ -1050,9 +851,10 @@ impl Prepared {
     }
 
     /// The slot-based compiled form of the query, lowered once at prepare
-    /// time.  This is what [`Prepared::execute`] runs by default; the legacy
-    /// tree walker remains reachable via
-    /// [`EngineBuilder::use_compiled`]`(false)`.
+    /// time.  This is what [`Prepared::execute`] runs for calculus handles
+    /// and invention levels under [`Backend::Planned`] (the default) and
+    /// [`Backend::Compiled`]; [`Backend::TreeWalk`] runs the legacy tree
+    /// walker instead.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -1064,14 +866,13 @@ impl Prepared {
         &self.compiled
     }
 
-    /// The evaluation backend this handle executes through: the compiled
-    /// slot-based form by default, the legacy tree walker when the engine was
-    /// built with `use_compiled(false)`.
-    fn backend(&self) -> &dyn Evaluable {
-        if self.use_compiled {
-            &self.compiled
-        } else {
-            &self.query
+    /// The calculus evaluator this handle executes through: the compiled
+    /// slot-based form, or the legacy tree walker under
+    /// [`Backend::TreeWalk`].
+    fn evaluator(&self) -> &dyn Evaluable {
+        match self.engine.backend {
+            Backend::Planned | Backend::Compiled => &self.compiled,
+            Backend::TreeWalk => &self.query,
         }
     }
 
@@ -1201,10 +1002,10 @@ impl Prepared {
     ) -> (Result<(QueryOutcome, Option<Span>), EngineError>, ExecStats) {
         let start = Instant::now();
         let armed;
-        let interrupt: &Interrupt = if self.governor.is_disarmed() {
+        let interrupt: &Interrupt = if self.engine.governor.is_disarmed() {
             Interrupt::disarmed()
         } else {
-            armed = self.governor.interrupt();
+            armed = self.engine.governor.interrupt();
             &armed
         };
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -1212,6 +1013,11 @@ impl Prepared {
         }));
         let wall_micros = start.elapsed().as_micros() as u64;
         let interrupt_polls = interrupt.polls();
+        let failed = ExecStats {
+            interrupt_polls,
+            wall_micros,
+            ..ExecStats::default()
+        };
         match result {
             Ok(Ok((mut outcome, mut span))) => {
                 outcome.stats.interrupt_polls = interrupt_polls;
@@ -1222,20 +1028,8 @@ impl Prepared {
                 let stats = outcome.stats;
                 (Ok((outcome, span)), stats)
             }
-            Ok(Err(e)) => {
-                let stats = ExecStats {
-                    interrupt_polls,
-                    wall_micros,
-                    ..ExecStats::default()
-                };
-                (Err(e), stats)
-            }
+            Ok(Err(e)) => (Err(e), failed),
             Err(payload) => {
-                let stats = ExecStats {
-                    interrupt_polls,
-                    wall_micros,
-                    ..ExecStats::default()
-                };
                 let detail = if let Some(s) = payload.downcast_ref::<&str>() {
                     (*s).to_string()
                 } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1243,7 +1037,7 @@ impl Prepared {
                 } else {
                     "non-string panic payload".to_string()
                 };
-                (Err(EngineError::Internal { detail }), stats)
+                (Err(EngineError::Internal { detail }), failed)
             }
         }
     }
@@ -1270,52 +1064,45 @@ impl Prepared {
         };
         let span = match (semantics, &self.source) {
             (Semantics::Limited, PreparedSource::Algebra { expr, schema, plan }) => {
-                if self.use_algebra_planner {
-                    let (result, stats, op) =
-                        plan.execute(db, &self.alg_config, interrupt, traced)?;
-                    outcome.result = result;
-                    outcome.stats = ExecStats::from_plan(stats);
-                    op.map(|op| {
-                        let mut root = rows_span("planned-algebra", &outcome.result);
-                        root.push_child(op);
-                        root
-                    })
-                } else {
-                    outcome.result = expr.evaluate(db, schema, &self.alg_config, interrupt)?;
-                    traced.then(|| rows_span("tuple-algebra", &outcome.result))
+                let config = &self.engine.alg_config;
+                match self.engine.backend {
+                    Backend::Planned => {
+                        let (result, stats, op) = plan.execute(db, config, interrupt, traced)?;
+                        outcome.result = result;
+                        outcome.stats = stats;
+                        op.map(|op| {
+                            let mut root = rows_span("planned-algebra", &outcome.result);
+                            root.push_child(op);
+                            root
+                        })
+                    }
+                    Backend::Compiled | Backend::TreeWalk => {
+                        outcome.result = expr.evaluate(db, schema, config, interrupt)?;
+                        traced.then(|| rows_span("tuple-algebra", &outcome.result))
+                    }
                 }
             }
             (Semantics::Limited, PreparedSource::Calculus) => {
-                let (evaluation, span) = if self.use_compiled {
-                    self.compiled
-                        .run(db, &[], &self.calc_config, interrupt, workers, traced)?
-                } else {
-                    let evaluation = itq_calculus::eval::evaluate(
-                        &self.query,
-                        db,
-                        &[],
-                        &self.calc_config,
-                        interrupt,
-                    )?;
-                    // The tree walker has no per-slot hooks; trace the whole
-                    // evaluation as one span.
-                    let span = traced.then(|| {
-                        let stats = &evaluation.stats;
-                        let mut root = rows_span("tree-walk", &evaluation.result);
-                        root.push_field("steps", stats.steps);
-                        root.push_field("quantifier_values", stats.quantifier_values);
-                        root.push_field("candidates_checked", stats.candidates_checked);
-                        root
-                    });
-                    (evaluation, span)
+                let config = &self.engine.calc_config;
+                let (evaluation, span) = match self.engine.backend {
+                    Backend::Planned | Backend::Compiled => {
+                        self.compiled
+                            .run(db, &[], config, interrupt, workers, traced)?
+                    }
+                    Backend::TreeWalk => {
+                        let evaluation =
+                            itq_calculus::eval::evaluate(&self.query, db, &[], config, interrupt)?;
+                        // The tree walker has no per-slot hooks; trace the
+                        // whole evaluation as one span.
+                        let span = traced.then(|| {
+                            let mut root = rows_span("tree-walk", &evaluation.result);
+                            root.push_counters(&evaluation.stats);
+                            root
+                        });
+                        (evaluation, span)
+                    }
                 };
-                outcome.stats = ExecStats::from_eval(evaluation.stats, 0);
-                if self.use_compiled && workers > 1 {
-                    // Every candidate was checked, so the candidate count
-                    // fixes the split `CompiledQuery::run` made.
-                    let candidates = evaluation.stats.candidates_checked as usize;
-                    outcome.stats.partitions = partition_ranges(candidates, workers).len() as u64;
-                }
+                outcome.stats = evaluation.stats;
                 outcome.result = evaluation.result;
                 span
             }
@@ -1325,43 +1112,41 @@ impl Prepared {
             // across the handle's workers.
             (Semantics::FiniteInvention, _) => {
                 let (report, stats, span) = finite_invention(
-                    self.backend(),
+                    self.evaluator(),
                     db,
-                    &mut self.universe_seed.clone(),
-                    &self.invention_config,
+                    &mut self.engine.universe.clone(),
+                    &self.engine.invention_config,
                     interrupt,
                     workers,
-                    self.governor.degrade_on_resource,
+                    self.engine.governor.degrade_on_resource,
                     traced,
                 )?;
                 outcome.bounded_approximation = report.stabilised_at.is_none();
                 outcome.stabilised_at = report.stabilised_at;
-                outcome.stats = ExecStats::from_eval(stats, report.levels() as u64);
+                outcome.stats = stats;
                 outcome.result = report.union;
                 span
             }
             (Semantics::TerminalInvention, _) => {
                 let (terminal, stats, span) = terminal_invention(
-                    self.backend(),
+                    self.evaluator(),
                     db,
-                    &mut self.universe_seed.clone(),
-                    &self.invention_config,
+                    &mut self.engine.universe.clone(),
+                    &self.engine.invention_config,
                     interrupt,
                     workers,
                     traced,
                 )?;
-                let levels = match terminal {
+                match terminal {
                     TerminalOutcome::Defined { n, answer } => {
                         outcome.result = answer;
                         outcome.defined_at = Some(n);
-                        n + 1
                     }
-                    TerminalOutcome::UndefinedWithinBound { tried } => {
+                    TerminalOutcome::UndefinedWithinBound { .. } => {
                         outcome.bounded_approximation = true;
-                        tried
                     }
-                };
-                outcome.stats = ExecStats::from_eval(stats, levels as u64);
+                }
+                outcome.stats = stats;
                 span
             }
         };
@@ -1729,9 +1514,9 @@ mod tests {
             .project(vec![1, 4]);
         let db = db();
         let planned_engine = Engine::new();
-        assert!(planned_engine.use_algebra_planner());
-        let tuple_engine = Engine::builder().use_algebra_planner(false).build();
-        assert!(!tuple_engine.use_algebra_planner());
+        assert_eq!(planned_engine.backend(), Backend::Planned);
+        let tuple_engine = Engine::builder().backend(Backend::Compiled).build();
+        assert_eq!(tuple_engine.backend(), Backend::Compiled);
 
         let planned = planned_engine
             .prepare_algebra(&expr, &parent_schema())
@@ -1807,10 +1592,7 @@ mod tests {
         );
 
         // Tree walker and tuple-at-a-time algebra: whole-evaluation spans.
-        let legacy = Engine::builder()
-            .use_compiled(false)
-            .use_algebra_planner(false)
-            .build();
+        let legacy = Engine::builder().backend(Backend::TreeWalk).build();
         let (_, span) = legacy
             .prepare(&grandparent_query())
             .unwrap()
@@ -2014,7 +1796,7 @@ mod tests {
         // The tree walker never interns, so the same ceiling never trips.
         let legacy = Engine::builder()
             .memory_ceiling(1)
-            .use_compiled(false)
+            .backend(Backend::TreeWalk)
             .build();
         let ok = legacy
             .prepare(&grandparent_query())

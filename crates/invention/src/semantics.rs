@@ -19,9 +19,9 @@
 //!   equivalent to the computable queries).
 
 use crate::error::InventionError;
-use itq_calculus::eval::{EvalConfig, EvalStats, Evaluable, Evaluation};
+use itq_calculus::eval::{EvalConfig, Evaluable, Evaluation};
 use itq_object::{Atom, Database, Instance, Interrupt, Universe, Value};
-use itq_trace::Span;
+use itq_trace::{ExecStats, Span};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -59,9 +59,7 @@ impl LevelHook for SpanHook {
         span.push_field("invented", n as u64);
         span.push_field("answers", restricted.len() as u64);
         span.push_field("unrestricted_answers", unrestricted.result.len() as u64);
-        span.push_field("steps", unrestricted.stats.steps);
-        span.push_field("quantifier_values", unrestricted.stats.quantifier_values);
-        span.push_field("candidates_checked", unrestricted.stats.candidates_checked);
+        span.push_counters(&unrestricted.stats);
         span.wall_micros = micros;
         self.spans.push(span);
     }
@@ -171,9 +169,9 @@ impl FiniteInventionReport {
 }
 
 /// Approximate finite invention: `⋃_{n ≤ max} Q|_n[d]`, with a stabilisation
-/// report and the aggregated [`EvalStats`] of every per-level evaluation.
-/// (The exact semantics is a countable union and is not computable in
-/// general; see Lemma 6.16.)
+/// report and the aggregated [`ExecStats`] of every per-level evaluation
+/// (`invention_levels` counts the levels evaluated).  (The exact semantics
+/// is a countable union and is not computable in general; see Lemma 6.16.)
 ///
 /// Every per-level evaluation polls `interrupt` and partitions across
 /// `workers` (see [`eval_with_invented`]).  When `degrade` is `true` and a
@@ -214,7 +212,7 @@ pub fn finite_invention<Q: Evaluable + ?Sized>(
     workers: usize,
     degrade: bool,
     traced: bool,
-) -> Result<(FiniteInventionReport, EvalStats, Option<Span>), InventionError> {
+) -> Result<(FiniteInventionReport, ExecStats, Option<Span>), InventionError> {
     if traced {
         let hook = SpanHook::default();
         finite_sweep(
@@ -237,12 +235,12 @@ fn finite_sweep<Q: Evaluable + ?Sized, H: LevelHook>(
     workers: usize,
     degrade: bool,
     mut hook: H,
-) -> Result<(FiniteInventionReport, EvalStats, Option<Span>), InventionError> {
+) -> Result<(FiniteInventionReport, ExecStats, Option<Span>), InventionError> {
     let mut answers = Vec::new();
     let mut union = Instance::empty();
     let mut stabilised_at = None;
     let mut interrupted_at = None;
-    let mut stats = EvalStats::default();
+    let mut stats = ExecStats::default();
     for n in 0..=config.max_invented {
         let start = H::ENABLED.then(Instant::now);
         let level = eval_with_invented(query, db, universe, n, &config.eval, interrupt, workers);
@@ -278,6 +276,7 @@ fn finite_sweep<Q: Evaluable + ?Sized, H: LevelHook>(
         }
         answers.push(restricted);
     }
+    stats.invention_levels = answers.len() as u64;
     let span = hook.root("finite-invention", union.len());
     let report = FiniteInventionReport {
         answers,
@@ -330,8 +329,8 @@ pub enum TerminalOutcome {
 }
 
 /// Terminal invention `Q^ti[d]` (Theorem 6.19), searched up to
-/// `config.max_invented` levels, plus the aggregated [`EvalStats`] of every
-/// level searched.
+/// `config.max_invented` levels, plus the aggregated [`ExecStats`] of every
+/// level searched (`invention_levels` counts them).
 ///
 /// Every per-level evaluation polls `interrupt` and partitions across
 /// `workers` (see [`eval_with_invented`]).  Terminal invention returns the
@@ -370,7 +369,7 @@ pub fn terminal_invention<Q: Evaluable + ?Sized>(
     interrupt: &Interrupt,
     workers: usize,
     traced: bool,
-) -> Result<(TerminalOutcome, EvalStats, Option<Span>), InventionError> {
+) -> Result<(TerminalOutcome, ExecStats, Option<Span>), InventionError> {
     if traced {
         terminal_search(
             query,
@@ -394,9 +393,9 @@ fn terminal_search<Q: Evaluable + ?Sized, H: LevelHook>(
     interrupt: &Interrupt,
     workers: usize,
     mut hook: H,
-) -> Result<(TerminalOutcome, EvalStats, Option<Span>), InventionError> {
+) -> Result<(TerminalOutcome, ExecStats, Option<Span>), InventionError> {
     let original_domain: BTreeSet<Atom> = query.evaluation_domain(db);
-    let mut stats = EvalStats::default();
+    let mut stats = ExecStats::default();
     for n in 0..=config.max_invented {
         let start = H::ENABLED.then(Instant::now);
         let (restricted, unrestricted) =
@@ -416,6 +415,7 @@ fn terminal_search<Q: Evaluable + ?Sized, H: LevelHook>(
                 .any(|a| !original_domain.contains(a))
         });
         if contains_invented {
+            stats.invention_levels = n as u64 + 1;
             let span = hook.root("terminal-invention", restricted.len());
             let outcome = TerminalOutcome::Defined {
                 n,
@@ -424,9 +424,9 @@ fn terminal_search<Q: Evaluable + ?Sized, H: LevelHook>(
             return Ok((outcome, stats, span));
         }
     }
-    let outcome = TerminalOutcome::UndefinedWithinBound {
-        tried: config.max_invented + 1,
-    };
+    let tried = config.max_invented + 1;
+    stats.invention_levels = tried as u64;
+    let outcome = TerminalOutcome::UndefinedWithinBound { tried };
     Ok((outcome, stats, hook.root("terminal-invention", 0)))
 }
 

@@ -1,8 +1,9 @@
 #![forbid(unsafe_code)]
 
 //! Structured tracing for the itq engine: timed [`Span`] trees with typed
-//! counter payloads, pluggable [`TraceSink`]s, and a session-wide
-//! [`MetricsRegistry`] of monotonic counters.
+//! counter payloads, the [`ExecStats`] counters every backend fills,
+//! pluggable [`TraceSink`]s, and a session-wide [`MetricsRegistry`] of
+//! monotonic counters.
 //!
 //! The design contract is *zero cost when off*: every instrumented layer
 //! keeps its untraced execution path byte-for-byte unchanged and only builds
@@ -76,6 +77,25 @@ impl Span {
         self.children.push(child);
     }
 
+    /// Append the nonzero counters of `stats` in struct order.  The span
+    /// keeps its own `wall_micros`, so the stats' wall clock is skipped; a
+    /// counter that is absent reads as zero, as in [`Span::subtree_total`].
+    ///
+    /// ```
+    /// use itq_trace::{ExecStats, Span};
+    /// let mut span = Span::new("compiled-eval");
+    /// span.push_field("rows_out", 1);
+    /// span.push_counters(&ExecStats { steps: 9, candidates_checked: 3, wall_micros: 5, ..Default::default() });
+    /// assert_eq!(span.to_string(), "compiled-eval  (rows_out 1, steps 9, candidates_checked 3, 0 µs)\n");
+    /// ```
+    pub fn push_counters(&mut self, stats: &ExecStats) {
+        for (name, value) in stats.fields() {
+            if value != 0 && name != "wall_micros" {
+                self.push_field(name, value);
+            }
+        }
+    }
+
     /// The value of field `key`, if present.
     pub fn field(&self, key: &str) -> Option<u64> {
         self.fields.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
@@ -129,6 +149,155 @@ impl Span {
             child.write_json(out);
         }
         out.push_str("]}");
+    }
+}
+
+/// The counters and timing of one execution, shared by every backend: the
+/// compiled and tree-walk evaluators, the planner, the invention sweeps and
+/// the prepared pipeline all fill this one block, which serializes (see
+/// [`ExecStats::to_json`]) so benchmark trajectories can be recorded across
+/// revisions.  Each backend leaves the counters it has no use for at zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Number of formula nodes evaluated.
+    pub steps: u64,
+    /// Number of values drawn from quantifier domains (quantifier expansions).
+    pub quantifier_values: u64,
+    /// Number of candidate output objects tested (tuples scanned at the top
+    /// level of the evaluation).
+    pub candidates_checked: u64,
+    /// The largest single quantifier domain encountered.
+    pub max_domain_seen: u64,
+    /// Number of invention levels `Q|_n[d]` explored (0 under the limited
+    /// interpretation, which never invents).
+    pub invention_levels: u64,
+    /// Compiled backend only: constructive-domain lookups answered from the
+    /// per-execution memo (0 for the legacy tree walker, which re-enumerates
+    /// every domain lazily).
+    pub domain_cache_hits: u64,
+    /// Compiled backend only: constructive-domain lookups that had to
+    /// materialise a new domain (0 for the legacy tree walker).
+    pub domain_cache_misses: u64,
+    /// Compiled and planned-algebra backends: distinct values interned in the
+    /// execution's value store (0 for the tree walker and the tuple-at-a-time
+    /// algebra evaluator, which never intern).
+    pub interned_values: u64,
+    /// Planned-algebra backend only: hash/member index probes plus candidate
+    /// pairs examined by join operators (0 for every other backend).
+    /// Comparable with the |A|·|B| pairs a tuple-at-a-time product walks.
+    pub join_probes: u64,
+    /// Planned-algebra backend only: objects constructed by plan operators
+    /// before deduplication (0 for every other backend).
+    pub tuples_materialised: u64,
+    /// Number of candidate-rank partitions the compiled calculus split its
+    /// limited-interpretation candidate loop into.  `0` when the execution
+    /// ran sequentially (one worker, an empty candidate domain, or any other
+    /// backend or semantics).  Deterministic for a fixed engine
+    /// configuration.
+    pub partitions: u64,
+    /// Number of times the execution polled its armed resource governor
+    /// (deadline / cancellation / memory-ceiling checks).  0 whenever the
+    /// governor is disarmed — the off path never counts polls.  Like
+    /// `wall_micros` this depends on the governor configuration rather than
+    /// on (query, database, semantics, backend) alone, so
+    /// [`ExecStats::deterministic`] zeroes it.
+    pub interrupt_polls: u64,
+    /// Wall-clock time of the execute call, in microseconds.
+    pub wall_micros: u64,
+}
+
+impl ExecStats {
+    /// Every field as a `(name, value)` pair, in struct order — the one
+    /// schema behind [`ExecStats::to_json`] and [`Span::push_counters`].
+    pub fn fields(&self) -> [(&'static str, u64); 13] {
+        [
+            ("steps", self.steps),
+            ("quantifier_values", self.quantifier_values),
+            ("candidates_checked", self.candidates_checked),
+            ("max_domain_seen", self.max_domain_seen),
+            ("invention_levels", self.invention_levels),
+            ("domain_cache_hits", self.domain_cache_hits),
+            ("domain_cache_misses", self.domain_cache_misses),
+            ("interned_values", self.interned_values),
+            ("join_probes", self.join_probes),
+            ("tuples_materialised", self.tuples_materialised),
+            ("partitions", self.partitions),
+            ("interrupt_polls", self.interrupt_polls),
+            ("wall_micros", self.wall_micros),
+        ]
+    }
+
+    /// Fold another evaluation's work into this one: the work counters are
+    /// summed (saturating, so merging many partitions or levels can never
+    /// wrap) and `max_domain_seen` takes the maximum.  Used by the invention
+    /// semantics, which run one evaluation per invention level, and by the
+    /// partitioned evaluator, which merges one block per partition.  The
+    /// per-execution stamps — `invention_levels`, `partitions`,
+    /// `interrupt_polls` and `wall_micros` — are set once by whoever drives
+    /// the execution, so they are left as they are.
+    ///
+    /// ```
+    /// use itq_trace::ExecStats;
+    /// let mut total = ExecStats { steps: 10, max_domain_seen: 4, ..Default::default() };
+    /// total.merge(&ExecStats { steps: 5, max_domain_seen: 9, ..Default::default() });
+    /// assert_eq!(total.steps, 15);
+    /// assert_eq!(total.max_domain_seen, 9);
+    /// let mut near_max = ExecStats { steps: u64::MAX - 1, ..Default::default() };
+    /// near_max.merge(&ExecStats { steps: 5, ..Default::default() });
+    /// assert_eq!(near_max.steps, u64::MAX); // saturates instead of wrapping
+    /// ```
+    pub fn merge(&mut self, other: &ExecStats) {
+        let add = |a: &mut u64, b: u64| *a = a.saturating_add(b);
+        add(&mut self.steps, other.steps);
+        add(&mut self.quantifier_values, other.quantifier_values);
+        add(&mut self.candidates_checked, other.candidates_checked);
+        self.max_domain_seen = self.max_domain_seen.max(other.max_domain_seen);
+        add(&mut self.domain_cache_hits, other.domain_cache_hits);
+        add(&mut self.domain_cache_misses, other.domain_cache_misses);
+        add(&mut self.interned_values, other.interned_values);
+        add(&mut self.join_probes, other.join_probes);
+        add(&mut self.tuples_materialised, other.tuples_materialised);
+    }
+
+    /// The statistics with the wall-clock field zeroed.  Every remaining
+    /// counter is a deterministic function of (query, database, semantics,
+    /// backend), so two executions can be compared with `==` without tripping
+    /// over timing noise — `ExecStats` derives `Eq` *including*
+    /// `wall_micros`, which is almost never what a differential test wants.
+    /// (`interrupt_polls` is zeroed too: it depends on the governor
+    /// configuration, not on the query/database/semantics/backend tuple.)
+    ///
+    /// ```
+    /// use itq_trace::ExecStats;
+    /// let a = ExecStats { steps: 7, wall_micros: 12, ..Default::default() };
+    /// let b = ExecStats { steps: 7, wall_micros: 99, interrupt_polls: 3, ..Default::default() };
+    /// assert_ne!(a, b); // timing noise trips whole-struct equality...
+    /// assert_eq!(a.deterministic(), b.deterministic()); // ...but not this.
+    /// ```
+    pub fn deterministic(&self) -> ExecStats {
+        ExecStats {
+            interrupt_polls: 0,
+            wall_micros: 0,
+            ..*self
+        }
+    }
+
+    /// Serialize as a flat JSON object (no external dependencies), in the
+    /// field order of the struct.
+    ///
+    /// ```
+    /// use itq_trace::ExecStats;
+    /// let json = ExecStats { steps: 2, ..Default::default() }.to_json();
+    /// assert!(json.starts_with("{\"steps\":2,"));
+    /// assert!(json.ends_with("}"));
+    /// ```
+    pub fn to_json(&self) -> String {
+        let body: Vec<String> = self
+            .fields()
+            .iter()
+            .map(|(name, value)| format!("\"{name}\":{value}"))
+            .collect();
+        format!("{{{}}}", body.join(","))
     }
 }
 
@@ -430,6 +599,49 @@ mod tests {
         assert!(written
             .lines()
             .all(|l| l.starts_with('{') && l.ends_with('}')));
+    }
+
+    /// `BENCH_execstats.json` and `.github/scripts/diff_bench.py` read this
+    /// schema: exactly these 13 keys, in this order.
+    #[test]
+    fn exec_stats_schema_is_pinned() {
+        let stats = ExecStats {
+            steps: 1,
+            quantifier_values: 2,
+            candidates_checked: 3,
+            max_domain_seen: 4,
+            invention_levels: 5,
+            domain_cache_hits: 6,
+            domain_cache_misses: 7,
+            interned_values: 8,
+            join_probes: 9,
+            tuples_materialised: 10,
+            partitions: 11,
+            interrupt_polls: 12,
+            wall_micros: 13,
+        };
+        let keys = [
+            "steps",
+            "quantifier_values",
+            "candidates_checked",
+            "max_domain_seen",
+            "invention_levels",
+            "domain_cache_hits",
+            "domain_cache_misses",
+            "interned_values",
+            "join_probes",
+            "tuples_materialised",
+            "partitions",
+            "interrupt_polls",
+            "wall_micros",
+        ];
+        let expected: Vec<String> = keys
+            .iter()
+            .zip(1..)
+            .map(|(key, value)| format!("\"{key}\":{value}"))
+            .collect();
+        assert_eq!(stats.to_json(), format!("{{{}}}", expected.join(",")));
+        assert_eq!(stats.fields().map(|(key, _)| key), keys);
     }
 
     #[test]

@@ -101,23 +101,13 @@ fn engine_trio() -> [Engine; 3] {
         max_invented: 1,
         eval: capped,
     };
-    [
+    Backend::ALL.map(|backend| {
         Engine::builder()
             .calc_config(capped)
             .invention_config(invention)
-            .build(),
-        Engine::builder()
-            .calc_config(capped)
-            .invention_config(invention)
-            .use_algebra_planner(false)
-            .build(),
-        Engine::builder()
-            .calc_config(capped)
-            .invention_config(invention)
-            .use_algebra_planner(false)
-            .use_compiled(false)
-            .build(),
-    ]
+            .backend(backend)
+            .build()
+    })
 }
 
 /// The comparable face of an execution: answers, flags, levels, and the
@@ -265,30 +255,14 @@ fn predicted_budget_error_strings_are_untouched() {
 
     let db = Database::single("PAR", Instance::empty()).with("PERSON", Instance::empty());
     let expected = expr.eval(&db, &schema(), &tiny).unwrap_err().to_string();
-    for (label, engine) in [
-        ("planner", Engine::builder().alg_config(tiny).build()),
-        (
-            "tuple",
-            Engine::builder()
-                .alg_config(tiny)
-                .use_algebra_planner(false)
-                .build(),
-        ),
-        (
-            "tree-walk",
-            Engine::builder()
-                .alg_config(tiny)
-                .use_algebra_planner(false)
-                .use_compiled(false)
-                .build(),
-        ),
-    ] {
+    for backend in Backend::ALL {
+        let engine = Engine::builder().alg_config(tiny).backend(backend).build();
         let prepared = engine.prepare_algebra(&expr, &schema()).unwrap();
         assert!(
             !prepared.diagnostics().diagnostics.is_empty(),
-            "{label}: report cached"
+            "{backend:?}: report cached"
         );
         let err = prepared.execute(&db, Semantics::Limited).unwrap_err();
-        assert_eq!(err.to_string(), expected, "{label}");
+        assert_eq!(err.to_string(), expected, "{backend:?}");
     }
 }

@@ -23,8 +23,8 @@
 //!   may exhaust the calculus quantifier budget, and only the *answers* are
 //!   comparable across the language boundary;
 //! * `Prepared::execute` outcomes (answers, boundedness flags, defining /
-//!   stabilisation levels, error classification) agree across planner-on,
-//!   planner-off, and tree-walker engines for every semantics, and each
+//!   stabilisation levels, error classification) agree across the
+//!   `Backend::ALL` engines for every semantics, and each
 //!   backend's statistics keep their shape (planner counters zero off the
 //!   planned path, calculus counters zero on the algebra paths).
 
@@ -275,22 +275,13 @@ fn engine_trio() -> [Engine; 3] {
         max_invented: 1,
         eval: capped,
     };
-    let planner = Engine::builder()
-        .calc_config(capped)
-        .invention_config(invention)
-        .build();
-    let tuple = Engine::builder()
-        .calc_config(capped)
-        .invention_config(invention)
-        .use_algebra_planner(false)
-        .build();
-    let tree = Engine::builder()
-        .calc_config(capped)
-        .invention_config(invention)
-        .use_algebra_planner(false)
-        .use_compiled(false)
-        .build();
-    [planner, tuple, tree]
+    Backend::ALL.map(|backend| {
+        Engine::builder()
+            .calc_config(capped)
+            .invention_config(invention)
+            .backend(backend)
+            .build()
+    })
 }
 
 /// Prepared-pipeline outcomes across the engine trio: answers, flags, levels,
@@ -394,7 +385,7 @@ proptest! {
         let tuple = Engine::builder()
             .calc_config(capped)
             .alg_config(tiny)
-            .use_algebra_planner(false)
+            .backend(Backend::Compiled)
             .build();
         let a = planner
             .prepare_algebra(&expr, &schema())
@@ -442,30 +433,16 @@ fn product_budget_error_string_is_byte_identical_across_backends() {
     assert_eq!(planned_err, tuple_err);
 
     // Through `Prepared::execute` on all three engines.
-    for (label, engine) in [
-        ("planner", Engine::builder().alg_config(tiny).build()),
-        (
-            "tuple",
-            Engine::builder()
-                .alg_config(tiny)
-                .use_algebra_planner(false)
-                .build(),
-        ),
-        (
-            "tree-walk",
-            Engine::builder()
-                .alg_config(tiny)
-                .use_algebra_planner(false)
-                .use_compiled(false)
-                .build(),
-        ),
-    ] {
-        let err = engine
+    for backend in Backend::ALL {
+        let err = Engine::builder()
+            .alg_config(tiny)
+            .backend(backend)
+            .build()
             .prepare_algebra(&expr, &schema())
             .unwrap()
             .execute(&db, Semantics::Limited)
             .unwrap_err();
-        assert_eq!(err.to_string(), expected, "{label}");
+        assert_eq!(err.to_string(), expected, "{backend:?}");
     }
 }
 
@@ -494,7 +471,7 @@ fn grandparent_exemplar_joins_instead_of_scanning_pairs() {
         pairs
     );
     let tuple = Engine::builder()
-        .use_algebra_planner(false)
+        .backend(Backend::Compiled)
         .build()
         .prepare_algebra(&expr, &schema())
         .unwrap()
@@ -518,21 +495,13 @@ fn resource_errors_are_byte_identical_across_the_trio() {
     )
     .with("PERSON", Instance::empty());
     let trio = |governor: &GovernorConfig| {
-        [
-            ("planner", Engine::builder()),
-            ("tuple", Engine::builder().use_algebra_planner(false)),
-            (
-                "tree-walk",
-                Engine::builder()
-                    .use_algebra_planner(false)
-                    .use_compiled(false),
-            ),
-        ]
-        .map(|(label, builder)| {
-            (
-                label,
-                builder.max_invented(1).governor(governor.clone()).build(),
-            )
+        Backend::ALL.map(|backend| {
+            let engine = Engine::builder()
+                .backend(backend)
+                .max_invented(1)
+                .governor(governor.clone())
+                .build();
+            (backend, engine)
         })
     };
 
@@ -563,9 +532,9 @@ fn resource_errors_are_byte_identical_across_the_trio() {
                     .unwrap_err();
                 assert!(
                     matches!(err, EngineError::Resource(_)),
-                    "{label}/{semantics}: {err}"
+                    "{label:?}/{semantics}: {err}"
                 );
-                assert_eq!(err.to_string(), expected, "{label}/{semantics}");
+                assert_eq!(err.to_string(), expected, "{label:?}/{semantics}");
             }
         }
     }
@@ -582,7 +551,7 @@ fn resource_errors_are_byte_identical_across_the_trio() {
         ..GovernorConfig::default()
     };
     let expected = "interned values exceeded the configured memory ceiling of 1 bytes";
-    let [(_, planner), (_, tuple), (_, tree)] = trio(&ceiling);
+    let [(_, planner), tuple, tree] = trio(&ceiling);
     let big_db = Database::single(
         "PAR",
         Instance::from_pairs((0..1200).map(|i| (Atom(i), Atom(i + 1)))),
@@ -605,18 +574,18 @@ fn resource_errors_are_byte_identical_across_the_trio() {
     assert_eq!(compiled_err.to_string(), expected);
     // Tuple-at-a-time and the tree walker never intern: exact answers.
     let baseline = Engine::builder()
-        .use_algebra_planner(false)
+        .backend(Backend::Compiled)
         .build()
         .prepare_algebra(&expr, &schema())
         .unwrap()
         .execute(&db, Semantics::Limited)
         .unwrap();
-    for (label, engine) in [("tuple", tuple), ("tree-walk", tree)] {
+    for (label, engine) in [tuple, tree] {
         let outcome = engine
             .prepare_algebra(&expr, &schema())
             .unwrap()
             .execute(&db, Semantics::Limited)
             .unwrap();
-        assert_eq!(outcome.result, baseline.result, "{label}");
+        assert_eq!(outcome.result, baseline.result, "{label:?}");
     }
 }

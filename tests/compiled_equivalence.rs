@@ -3,8 +3,8 @@
 //! bit-identical to the tree walker — same answers, same shared statistics
 //! counters, and the same budget-error classification — and a `Prepared`
 //! handle must produce the same [`QueryOutcome`] whether the engine routes
-//! through the compiled backend (the default) or the legacy tree walker
-//! (`EngineBuilder::use_compiled(false)`), under all three semantics.
+//! through the compiled slot evaluator (`Backend::Planned`, the default) or
+//! the legacy tree walker (`Backend::TreeWalk`), under all three semantics.
 //!
 //! The suite also pins the domain-cache invalidation contract: the invention
 //! semantics extend the atom set per level, and a domain memoized over `X`
@@ -54,7 +54,7 @@ fn engine_pair() -> (Engine, Engine) {
     let compiled = Engine::builder().max_invented(1).build();
     let legacy = Engine::builder()
         .max_invented(1)
-        .use_compiled(false)
+        .backend(Backend::TreeWalk)
         .build();
     (compiled, legacy)
 }
@@ -195,7 +195,7 @@ fn compiled_outcomes_expose_the_cache_counters() {
         "repeated quantifier entries must hit the memo"
     );
     // The ablation engine runs the tree walker and reports zeros.
-    let legacy = Engine::builder().use_compiled(false).build();
+    let legacy = Engine::builder().backend(Backend::TreeWalk).build();
     let slow = legacy
         .prepare(&queries::grandparent_query())
         .unwrap()
@@ -283,7 +283,7 @@ fn capped_engine_pair() -> (Engine, Engine) {
     let legacy = Engine::builder()
         .calc_config(capped)
         .invention_config(invention)
-        .use_compiled(false)
+        .backend(Backend::TreeWalk)
         .build();
     (compiled, legacy)
 }

@@ -69,7 +69,7 @@ fn prepare(backend: &str, governor: GovernorConfig) -> Prepared {
             .prepare(&queries::grandparent_query())
             .unwrap(),
         "tree-walk" => builder
-            .use_compiled(false)
+            .backend(Backend::TreeWalk)
             .build()
             .prepare(&queries::grandparent_query())
             .unwrap(),
@@ -78,7 +78,7 @@ fn prepare(backend: &str, governor: GovernorConfig) -> Prepared {
             .prepare_algebra(&grandparent_algebra(), &queries::parent_schema())
             .unwrap(),
         "tuple" => builder
-            .use_algebra_planner(false)
+            .backend(Backend::Compiled)
             .build()
             .prepare_algebra(&grandparent_algebra(), &queries::parent_schema())
             .unwrap(),

@@ -9,10 +9,11 @@
 //! * across the delta strategies (semi-naive closure maintenance for the
 //!   Example 3.1 transitive-closure shape, single-rule Datalog delta firing
 //!   for conjunctive bodies) and the guarded re-execution fallback;
-//! * across the engine's execution backends: the compiled slot evaluator,
-//!   the legacy tree walker (`use_compiled(false)`), and — via a watched
-//!   *algebra* handle — the set-at-a-time planner and the tuple-at-a-time
-//!   evaluator (`use_algebra_planner(false)`);
+//! * across the engine's execution backends: the compiled slot evaluator
+//!   (`Backend::Planned`), the legacy tree walker (`Backend::TreeWalk`), and
+//!   — via a watched *algebra* handle — the set-at-a-time planner
+//!   (`Backend::Planned`) and the tuple-at-a-time evaluator
+//!   (`Backend::Compiled`);
 //! * across all three semantics of the prepared pipeline (limited, finite
 //!   invention, terminal invention — the invention semantics take the
 //!   re-execution path by construction);
@@ -95,8 +96,8 @@ proptest! {
         muts in mutations(5, 7),
     ) {
         let planner_on = Engine::new();
-        let planner_off = Engine::builder().use_algebra_planner(false).build();
-        let tree_walk = Engine::builder().use_compiled(false).build();
+        let planner_off = Engine::builder().backend(Backend::Compiled).build();
+        let tree_walk = Engine::builder().backend(Backend::TreeWalk).build();
         let schema = queries::parent_schema();
         let mut inc = incremental_db(&seed);
         for (name, prepared) in [

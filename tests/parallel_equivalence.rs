@@ -81,7 +81,7 @@ fn algebra_exemplar(index: usize) -> AlgExpr {
 /// The engine trio at a given worker count and step budget.  Budgets are
 /// capped so pathological draws die on a classified budget error (whose
 /// string must *also* be worker-count independent) instead of burning time.
-fn trio(max_steps: u64) -> [(&'static str, Engine); 3] {
+fn trio(max_steps: u64) -> [(Backend, Engine); 3] {
     let capped = EvalConfig {
         max_steps,
         ..EvalConfig::default()
@@ -90,35 +90,15 @@ fn trio(max_steps: u64) -> [(&'static str, Engine); 3] {
         max_invented: 1,
         eval: capped,
     };
-    [
-        (
-            "planner",
-            Engine::builder()
-                .calc_config(capped)
-                .invention_config(invention)
-                .parallelism(1)
-                .build(),
-        ),
-        (
-            "compiled",
-            Engine::builder()
-                .calc_config(capped)
-                .invention_config(invention)
-                .use_algebra_planner(false)
-                .parallelism(1)
-                .build(),
-        ),
-        (
-            "tree-walk",
-            Engine::builder()
-                .calc_config(capped)
-                .invention_config(invention)
-                .use_algebra_planner(false)
-                .use_compiled(false)
-                .parallelism(1)
-                .build(),
-        ),
-    ]
+    Backend::ALL.map(|backend| {
+        let engine = Engine::builder()
+            .calc_config(capped)
+            .invention_config(invention)
+            .backend(backend)
+            .parallelism(1)
+            .build();
+        (backend, engine)
+    })
 }
 
 /// Byte-for-byte comparison of a sequential and a parallel outcome: answers,
@@ -194,7 +174,8 @@ fn assert_outcomes_byte_identical(
 }
 
 fn assert_algebra_parallel_equivalence(expr: &AlgExpr, db: &Database, max_steps: u64) {
-    for (label, engine) in trio(max_steps) {
+    for (backend, engine) in trio(max_steps) {
+        let label = format!("{backend:?}");
         let prepared = engine
             .prepare_algebra(expr, &schema())
             .expect("exemplar expressions prepare");
@@ -202,20 +183,21 @@ fn assert_algebra_parallel_equivalence(expr: &AlgExpr, db: &Database, max_steps:
             let sequential = prepared.execute(db, semantics);
             for workers in WORKER_SWEEP {
                 let parallel = prepared.with_parallelism(workers).execute(db, semantics);
-                assert_outcomes_byte_identical(label, semantics, workers, &sequential, &parallel);
+                assert_outcomes_byte_identical(&label, semantics, workers, &sequential, &parallel);
             }
         }
     }
 }
 
 fn assert_calculus_parallel_equivalence(query: &Query, db: &Database, max_steps: u64) {
-    for (label, engine) in trio(max_steps) {
+    for (backend, engine) in trio(max_steps) {
+        let label = format!("{backend:?}");
         let prepared = engine.prepare(query).expect("exemplar queries prepare");
         for semantics in Semantics::ALL {
             let sequential = prepared.execute(db, semantics);
             for workers in WORKER_SWEEP {
                 let parallel = prepared.with_parallelism(workers).execute(db, semantics);
-                assert_outcomes_byte_identical(label, semantics, workers, &sequential, &parallel);
+                assert_outcomes_byte_identical(&label, semantics, workers, &sequential, &parallel);
             }
         }
     }
@@ -317,12 +299,12 @@ fn governor_trips_are_byte_identical_at_every_worker_count() {
                         .unwrap_err();
                     assert!(
                         matches!(err, EngineError::Resource(_)),
-                        "{label}/{semantics}/workers={workers}: {err}"
+                        "{label:?}/{semantics}/workers={workers}: {err}"
                     );
                     assert_eq!(
                         err.to_string(),
                         expected,
-                        "{label}/{semantics}/workers={workers}"
+                        "{label:?}/{semantics}/workers={workers}"
                     );
                 }
             }

@@ -40,11 +40,7 @@ fn prepared_execute_is_bit_identical_to_the_legacy_api_under_all_semantics() {
         let limited = prepared.execute(&db, Semantics::Limited).unwrap();
         assert_eq!(evaluation.result, limited.result, "{name}");
         assert!(!limited.bounded_approximation, "{name}");
-        assert_eq!(
-            evaluation.stats,
-            limited.stats.eval_stats_for_tests(),
-            "{name}"
-        );
+        assert_eq!(evaluation.stats, limited.stats.deterministic(), "{name}");
         // The invention semantics: the sweeps of itq-invention over the
         // source query (the tree walker), from a clone of the engine's
         // universe.
@@ -90,26 +86,6 @@ fn prepared_execute_is_bit_identical_to_the_legacy_api_under_all_semantics() {
                 assert!(terminal.bounded_approximation, "{name}");
                 assert_eq!(terminal.stats.invention_levels as usize, tried, "{name}");
             }
-        }
-    }
-}
-
-/// Hack-free stats comparison: `ExecStats` and `EvalStats` share their
-/// evaluator counters; compare through the shared struct.
-trait EvalStatsView {
-    fn eval_stats_for_tests(&self) -> itq_calculus::eval::EvalStats;
-}
-
-impl EvalStatsView for ExecStats {
-    fn eval_stats_for_tests(&self) -> itq_calculus::eval::EvalStats {
-        itq_calculus::eval::EvalStats {
-            steps: self.steps,
-            quantifier_values: self.quantifier_values,
-            candidates_checked: self.candidates_checked,
-            max_domain_seen: self.max_domain_seen,
-            domain_cache_hits: self.domain_cache_hits,
-            domain_cache_misses: self.domain_cache_misses,
-            interned_values: self.interned_values,
         }
     }
 }
